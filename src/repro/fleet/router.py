@@ -10,12 +10,12 @@ the router cannot tell it from one big node:
   (primary first, healthy first); shards choosing the same node
   coalesce into one ``query_vectors`` request restricted to that shard
   subset, and the per-node requests fan out concurrently.
-* **Gather.**  Per-node partial top-k lists are merged per query by the
-  store's total order ``(distance, shard_id, local_label)`` and trimmed
-  to k.  A shard's top-k is its k best candidates, so the top-k of the
-  union equals the top-k over the union of per-shard top-k lists —
-  merged answers are **byte-identical** to a single node scanning
-  everything.
+* **Gather.**  Per-node partial answers arrive as columnar
+  :class:`~repro.store.matches.MatchTable` s and go through the store's
+  own :func:`~repro.store.matches.merge_topk` — the very function a
+  node merges its shards with — so merged answers are **byte-identical**
+  to a single node scanning everything by construction, not by two
+  implementations agreeing.
 * **Failover.**  A replica that fails mid-query is marked unhealthy and
   its shards are re-asked on their next replica, inside the same
   request — a probe cycle does not have to notice first.  Reads only:
@@ -46,7 +46,7 @@ from ..hdc import IDLevelEncoder
 from ..logging import get_logger
 from ..spectrum import MassSpectrum
 from ..store.manifest import RepositoryManifest
-from ..store.query import ClusterMatch
+from ..store.matches import MatchTable, merge_topk
 from ..streaming import encode_spectra
 from ..service import protocol
 from ..service.client import NO_RETRY, RetryPolicy, ServiceClientPool
@@ -322,25 +322,20 @@ class RouterDaemon:
     # The routed query path
     # ------------------------------------------------------------------
 
-    def query_vectors(
-        self, vectors: np.ndarray, k: int = 5
-    ) -> List[List[ClusterMatch]]:
+    def query_vectors(self, vectors: np.ndarray, k: int = 5) -> MatchTable:
         """Routed top-k, byte-identical to one node scanning every shard."""
         results, _generation = self.query_vectors_traced(vectors, k)
         return results
 
     def query_vectors_traced(
         self, vectors: np.ndarray, k: int = 5
-    ) -> Tuple[List[List[ClusterMatch]], int]:
+    ) -> Tuple[MatchTable, int]:
         """Routed top-k plus the generation the answer was served at."""
         vectors = np.asarray(vectors, dtype=np.uint64)
         if vectors.ndim != 2:
             raise ServiceError("query vectors must be a (n, words) matrix")
-        num_queries = vectors.shape[0]
-        if num_queries == 0:
-            return [], 0
-        if k < 1:
-            return [[] for _ in range(num_queries)], 0
+        if vectors.shape[0] == 0 or k < 1:
+            return MatchTable.empty(vectors.shape[0]), 0
         excluded: Dict[int, frozenset] = {}
         groups = self._group(range(self.placement.num_shards), excluded)
         partials = self._gather(groups, vectors, k, None, excluded)
@@ -363,18 +358,7 @@ class RouterDaemon:
                 self._gather(regroup, vectors, k, target, excluded)
             )
             partials = aligned
-        merged: List[List[ClusterMatch]] = []
-        for row in range(num_queries):
-            candidates = [
-                match
-                for _, _, rows in partials
-                for match in rows[row]
-            ]
-            candidates.sort(
-                key=lambda m: (m.distance, m.shard_id, m.local_label)
-            )
-            merged.append(candidates[:k])
-        return merged, target
+        return merge_topk([table for _, _, table in partials], k), target
 
     def _gather(
         self,
@@ -383,14 +367,14 @@ class RouterDaemon:
         k: int,
         generation: Optional[int],
         excluded: Dict[int, frozenset],
-    ) -> List[Tuple[List[int], int, List[List[ClusterMatch]]]]:
+    ) -> List[Tuple[List[int], int, MatchTable]]:
         """Fan one request per node, failing shards over as nodes die.
 
-        Returns ``[(shards, generation_served, per-query rows), ...]``
+        Returns ``[(shards, generation_served, partial answer), ...]``
         covering every shard in ``groups`` exactly once, or raises
         :class:`FleetError` once some shard has no replicas left.
         """
-        partials: List[Tuple[List[int], int, List[List[ClusterMatch]]]] = []
+        partials: List[Tuple[List[int], int, MatchTable]] = []
         while groups:
             ordered = sorted(groups.items())
             if len(ordered) == 1:
@@ -470,7 +454,7 @@ class RouterDaemon:
         vectors: np.ndarray,
         k: int,
         generation: Optional[int],
-    ) -> Tuple[int, List[List[ClusterMatch]]]:
+    ) -> Tuple[int, MatchTable]:
         pool = self._pools[name]
         client = pool.checkout()
         healthy = True
@@ -490,19 +474,14 @@ class RouterDaemon:
 
     def query(
         self, spectra: Sequence[MassSpectrum], k: int = 5
-    ) -> List[List[ClusterMatch]]:
+    ) -> MatchTable:
         """Top-k per spectrum: encoded here, routed as vectors."""
         encoder, preprocessing = self._codec()
         with self._codec_lock:
             batch = encode_spectra(spectra, preprocessing, encoder)
-        results: List[List[ClusterMatch]] = [[] for _ in spectra]
-        if batch.num_kept:
-            for offset, matches in zip(
-                batch.kept_offsets,
-                self.query_vectors(batch.vectors, k),
-            ):
-                results[int(offset)] = matches
-        return results
+        return self.query_vectors(batch.vectors, k).scattered(
+            batch.kept_offsets, len(spectra)
+        )
 
     def _codec(self):
         """Encoder + preprocessing, learned from any live node's manifest.

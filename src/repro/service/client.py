@@ -3,11 +3,12 @@
 :class:`ServiceClient` speaks :mod:`repro.service.protocol` over one
 persistent TCP connection (requests are strictly request/response, so
 one socket serves a client thread for its whole session).  Results come
-back as the same :class:`~repro.store.ClusterMatch` /
+back as the same :class:`~repro.store.MatchTable` /
 :class:`~repro.store.RepositoryUpdateReport` objects the in-process
 :class:`~repro.store.QueryService` and :class:`~repro.store.ClusterRepository`
 return — remote and local serving are drop-in interchangeable for
-callers.
+callers.  A returned table owns its memory: it stays valid across later
+requests on the same connection.
 
 Failure handling is deliberately three-tiered:
 
@@ -53,7 +54,7 @@ from ..errors import ServiceBusy, ServiceError
 from ..spectrum import MassSpectrum
 from ..store import RepositoryUpdateReport
 from ..store.generation import GenerationFile
-from ..store.query import ClusterMatch
+from ..store.matches import MatchTable
 from . import protocol
 
 #: Ops safe to retry on a fresh connection after a transport failure:
@@ -112,17 +113,6 @@ class RetryPolicy:
 #: No-retry policy for one-shot callers (and tests asserting behaviour
 #: of a single attempt).
 NO_RETRY = RetryPolicy(attempts=1)
-
-
-#: Kept as aliases — the record-level codec moved to the protocol
-#: module so the daemon, router, and client share one implementation.
-_match_from_wire = protocol.match_from_record
-
-
-def _matches_from_wire(rows: Sequence) -> List[List[ClusterMatch]]:
-    return [
-        [_match_from_wire(record) for record in matches] for matches in rows
-    ]
 
 
 def _report_from_wire(record: dict) -> RepositoryUpdateReport:
@@ -370,7 +360,7 @@ class ServiceClient:
 
     def query(
         self, spectra: Sequence[MassSpectrum], k: int = 5
-    ) -> List[List[ClusterMatch]]:
+    ) -> MatchTable:
         """Top-k nearest clusters per spectrum (QC failures → empty)."""
         request = {"op": "query", "k": int(k)}
         protocol.attach_spectra(request, spectra)
@@ -378,7 +368,7 @@ class ServiceClient:
 
     def query_vectors(
         self, vectors: np.ndarray, k: int = 5
-    ) -> List[List[ClusterMatch]]:
+    ) -> MatchTable:
         """Top-k nearest clusters for pre-encoded packed vectors."""
         request = {"op": "query_vectors", "k": int(k)}
         protocol.attach_vectors(request, vectors)
@@ -390,7 +380,7 @@ class ServiceClient:
         k: int = 5,
         shards: Optional[Sequence[int]] = None,
         generation: Optional[int] = None,
-    ) -> Tuple[int, List[List[ClusterMatch]]]:
+    ) -> Tuple[int, MatchTable]:
         """Shard-restricted / generation-pinned query (the router's op).
 
         Returns ``(generation_served, results)`` so the router can

@@ -82,7 +82,12 @@ from ..execution import ExecutionPool
 from ..hdc.kernels import kernel_runtime
 from ..logging import get_logger
 from ..spectrum import MassSpectrum
-from ..store import ClusterRepository, QueryService, RepositoryUpdateReport
+from ..store import (
+    ClusterRepository,
+    MatchTable,
+    QueryService,
+    RepositoryUpdateReport,
+)
 from ..store.generation import (
     GenerationFile,
     GenerationStager,
@@ -836,19 +841,14 @@ class ClusterService:
 
     def query(
         self, spectra: Sequence[MassSpectrum], k: int = 5
-    ) -> List[List]:
-        """Top-k matches per query spectrum (QC failures → empty lists)."""
+    ) -> MatchTable:
+        """Top-k matches per query spectrum (QC failures → empty rows)."""
         batch = self._encode(spectra)
-        results: List[List] = [[] for _ in spectra]
-        if batch.num_kept:
-            for offset, matches in zip(
-                batch.kept_offsets,
-                self.query_vectors(batch.vectors, k),
-            ):
-                results[int(offset)] = matches
-        return results
+        return self.query_vectors(batch.vectors, k).scattered(
+            batch.kept_offsets, len(spectra)
+        )
 
-    def query_vectors(self, vectors: np.ndarray, k: int = 5) -> List[List]:
+    def query_vectors(self, vectors: np.ndarray, k: int = 5) -> MatchTable:
         """Top-k matches for pre-encoded vectors, via the coalescer.
 
         Blocks until the dispatcher's pass completes; concurrent callers
@@ -858,10 +858,8 @@ class ClusterService:
         vectors = np.asarray(vectors, dtype=np.uint64)
         if vectors.ndim != 2:
             raise ServiceError("query vectors must be a (n, words) matrix")
-        if vectors.shape[0] == 0:
-            return []
-        if k < 1:
-            return [[] for _ in range(vectors.shape[0])]
+        if vectors.shape[0] == 0 or k < 1:
+            return MatchTable.empty(vectors.shape[0])
         if not self._started:
             # No dispatcher thread: serve inline (embedded/test use).
             results, _generation = self._direct_query(vectors, k)
@@ -885,7 +883,7 @@ class ClusterService:
         k: int = 5,
         shards: Optional[Sequence[int]] = None,
         generation: Optional[int] = None,
-    ) -> Tuple[List[List], int]:
+    ) -> Tuple[MatchTable, int]:
         """Shard-restricted and/or generation-pinned query (the fleet path).
 
         Returns ``(results, generation_served)``.  Bypasses the
@@ -904,7 +902,7 @@ class ClusterService:
                 served = lease.generation
             finally:
                 lease.release()
-            return [[] for _ in range(vectors.shape[0])], served
+            return MatchTable.empty(vectors.shape[0]), served
         return self._direct_query(
             vectors, k, shards=shards, generation=generation
         )
@@ -915,7 +913,7 @@ class ClusterService:
         k: int,
         shards: Optional[Sequence[int]] = None,
         generation: Optional[int] = None,
-    ) -> Tuple[List[List], int]:
+    ) -> Tuple[MatchTable, int]:
         self._check_quarantine(shards)
         lease = self._acquire_lease(generation)
         try:
@@ -957,8 +955,9 @@ class ClusterService:
         """One coalesced kernel pass; splits results back per caller.
 
         The pass runs at ``max(k)`` over the batch: each query's top-k
-        list is a prefix of its top-k' list for k ≤ k', so trimming a
-        caller's rows to its own ``k`` reproduces a solo pass exactly.
+        list is a prefix of its top-k' list for k ≤ k', so a row slice
+        of the pass trimmed with ``head(k)`` reproduces a solo pass
+        exactly — both are views or column gathers, never object loops.
         """
         try:
             stacked = (
@@ -980,14 +979,8 @@ class ClusterService:
             count = item.vectors.shape[0]
             rows = merged[row : row + count]
             row += count
-            if not item.future.set_running_or_notify_cancel():
-                continue
-            if item.k < k_max:
-                item.future.set_result(
-                    [matches[: item.k] for matches in rows]
-                )
-            else:
-                item.future.set_result(rows)
+            if item.future.set_running_or_notify_cancel():
+                item.future.set_result(rows.head(item.k))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -47,7 +47,9 @@ Zero-copy views returned by the ``extract_*`` helpers point into the
 connection's receive buffer and stay valid until the **next** receive
 on that connection — fine under this strictly request/response
 protocol, but copy (``bytes(...)`` / ``np.array(...)``) anything that
-must outlive the response cycle.
+must outlive the response cycle.  Query answers are the exception:
+:func:`extract_matches` hands the caller a
+:class:`~repro.store.matches.MatchTable` that owns its columns.
 
 Requests are ``{"op": <name>, ...}``; responses are ``{"status": "ok" |
 "busy" | "error", ...}``.  See :mod:`repro.service.daemon` for the op
@@ -60,13 +62,18 @@ import base64
 import json
 import os
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import ConfigurationError, ProtocolError, ServiceError
 from ..spectrum import MassSpectrum
-from ..store.query import ClusterMatch
+from ..store.matches import (
+    FLOAT_FIELDS,
+    INT_FIELDS,
+    ClusterMatch,
+    MatchTable,
+)
 from ..store.wal import _spectrum_from_json, _spectrum_to_json
 
 #: Protocol magic: rejects stray HTTP/TLS/etc. traffic immediately.
@@ -694,63 +701,23 @@ def extract_spectra(
     return spectra
 
 
-#: Column order of the integer match payload.
-_MATCH_INT_FIELDS = (
-    "global_label",
-    "shard_id",
-    "local_label",
-    "distance",
-    "cluster_size",
-    "medoid_charge",
-)
-
-#: Column order of the float match payload.
-_MATCH_FLOAT_FIELDS = ("normalized_distance", "medoid_precursor_mz")
-
-
 def attach_matches(
     message: dict,
-    results: Sequence[Sequence[ClusterMatch]],
+    results: Union[MatchTable, Sequence[Sequence[ClusterMatch]]],
     field: str = "results",
 ) -> dict:
-    """Attach per-query match lists as columnar binary payloads.
+    """Attach a query answer's columns as binary payloads (no loop).
 
-    Codec v1 inlines them back to the daemon's historical
+    A plain list of match lists is accepted and tabulated first.  Codec
+    v1 inlines the columns back to the daemon's historical
     ``asdict(match)`` row dicts, field for field.
     """
-    counts = np.array([len(row) for row in results], dtype="<i8")
-    flat = [match for row in results for match in row]
-    if flat:
-        ints = np.array(
-            [
-                (
-                    m.global_label,
-                    m.shard_id,
-                    m.local_label,
-                    m.distance,
-                    m.cluster_size,
-                    m.medoid_charge,
-                )
-                for m in flat
-            ],
-            dtype="<i8",
-        )
-        floats = np.array(
-            [(m.normalized_distance, m.medoid_precursor_mz) for m in flat],
-            dtype="<f8",
-        )
-    else:
-        ints = np.empty((0, len(_MATCH_INT_FIELDS)), dtype="<i8")
-        floats = np.empty((0, len(_MATCH_FLOAT_FIELDS)), dtype="<f8")
-    encoded_ids = [m.medoid_identifier.encode("utf-8") for m in flat]
-    id_lengths = np.array([len(b) for b in encoded_ids], dtype="<i8")
-    id_bytes = b"".join(encoded_ids)
-    for suffix, dtype, shape, buffer in (
-        ("n", "<i8", [int(counts.shape[0])], counts),
-        ("i", "<i8", [len(flat), len(_MATCH_INT_FIELDS)], ints),
-        ("f", "<f8", [len(flat), len(_MATCH_FLOAT_FIELDS)], floats),
-        ("idn", "<i8", [len(flat)], id_lengths),
-        ("id", "B", [len(id_bytes)], id_bytes),
+    if not isinstance(results, MatchTable):
+        results = MatchTable.from_rows(results)
+    for suffix, dtype, column in zip(
+        ("n", "i", "f", "idn", "id"),
+        ("<i8", "<i8", "<f8", "<i8", "B"),
+        results.wire_columns(),
     ):
         _attach(
             message,
@@ -759,50 +726,37 @@ def attach_matches(
                 "kind": "matches",
                 "field": field,
                 "dtype": dtype,
-                "shape": shape,
-                "nbytes": int(np.prod(shape, dtype=np.int64))
-                * _PAYLOAD_DTYPES[dtype],
+                "shape": list(column.shape),
+                "nbytes": int(column.nbytes),
             },
-            buffer,
+            column,
         )
     return message
 
 
-def match_from_record(record: dict) -> ClusterMatch:
-    """One codec-v1 JSON match row → :class:`ClusterMatch`."""
-    try:
-        return ClusterMatch(
-            global_label=int(record["global_label"]),
-            shard_id=int(record["shard_id"]),
-            local_label=int(record["local_label"]),
-            distance=int(record["distance"]),
-            normalized_distance=float(record["normalized_distance"]),
-            cluster_size=int(record["cluster_size"]),
-            medoid_identifier=str(record["medoid_identifier"]),
-            medoid_precursor_mz=float(record["medoid_precursor_mz"]),
-            medoid_charge=int(record["medoid_charge"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ServiceError(f"malformed match record: {exc}") from exc
-
-
 def _match_columns(binary: dict, field: str):
+    """The validated ``matches`` payload columns of ``field``."""
     counts = binary[f"{field}.n"]
     try:
         ints = binary[f"{field}.i"]
         floats = binary[f"{field}.f"]
         id_lengths = binary[f"{field}.idn"]
-        id_bytes = binary[f"{field}.id"]
+        id_bytes = np.frombuffer(binary[f"{field}.id"], dtype=np.uint8)
     except KeyError as exc:
         raise ProtocolError(
             f"incomplete match payloads for {field!r}"
         ) from exc
+    if not all(
+        isinstance(column, np.ndarray)
+        for column in (counts, ints, floats, id_lengths)
+    ):
+        raise ProtocolError(f"match payload dtypes disagree in {field!r}")
     flat = ints.shape[0]
     if (
         ints.ndim != 2
-        or ints.shape[1] != len(_MATCH_INT_FIELDS)
+        or ints.shape[1] != len(INT_FIELDS)
         or floats.ndim != 2
-        or floats.shape != (flat, len(_MATCH_FLOAT_FIELDS))
+        or floats.shape != (flat, len(FLOAT_FIELDS))
         or id_lengths.shape[0] != flat
     ):
         raise ProtocolError(f"match payload shapes disagree in {field!r}")
@@ -812,58 +766,43 @@ def _match_columns(binary: dict, field: str):
         raise ProtocolError(f"match payload count mismatch in {field!r}")
     if (
         id_lengths.size and int(id_lengths.min()) < 0
-    ) or int(id_lengths.sum()) != len(id_bytes):
+    ) or int(id_lengths.sum()) != id_bytes.shape[0]:
         raise ProtocolError(
             f"match identifier payload mismatch in {field!r}"
         )
+    if id_bytes.size and int(id_bytes.max()) > 0x7F:
+        # Beyond ASCII every identifier must decode on its own: the blob
+        # as a whole, and no identifier starting inside a character.
+        starts = (np.cumsum(id_lengths) - id_lengths)[id_lengths > 0]
+        try:
+            str(id_bytes, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(
+                f"match identifiers in {field!r} are not UTF-8: {exc}"
+            ) from exc
+        if ((id_bytes[starts] & 0xC0) == 0x80).any():
+            raise ProtocolError(
+                f"match identifiers in {field!r} split a UTF-8 character"
+            )
     return counts, ints, floats, id_lengths, id_bytes
 
 
-def extract_matches(
-    message: dict, field: str = "results"
-) -> List[List[ClusterMatch]]:
-    """Per-query match lists of ``field``, either wire form."""
+def extract_matches(message: dict, field: str = "results") -> MatchTable:
+    """The query answer of ``field`` as a table, either wire form.
+
+    The table owns its memory — the columns are copied out of the
+    connection's receive buffer — so unlike the other ``extract_*``
+    views it stays valid across later receives.
+    """
     binary = message.get(BINARY_KEY)
     if binary is None or f"{field}.n" not in binary:
-        rows = message.get(field)
-        if not isinstance(rows, list):
-            raise ServiceError(f"malformed match results in {field!r}")
-        return [[match_from_record(r) for r in row] for row in rows]
-    counts, ints, floats, id_lengths, id_bytes = _match_columns(
-        binary, field
+        try:
+            return MatchTable.from_records(message[field])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ServiceError(f"malformed match results: {exc}") from exc
+    return MatchTable.from_columns(
+        *(np.array(column) for column in _match_columns(binary, field))
     )
-    int_rows = ints.tolist()
-    float_rows = floats.tolist()
-    lengths = id_lengths.tolist()
-    results = []
-    cursor = 0
-    id_offset = 0
-    for count in counts.tolist():
-        row = []
-        for _ in range(count):
-            id_length = lengths[cursor]
-            identifier = str(
-                id_bytes[id_offset : id_offset + id_length], "utf-8"
-            )
-            id_offset += id_length
-            gl, sh, ll, di, cs, mc = int_rows[cursor]
-            nd, mz = float_rows[cursor]
-            row.append(
-                ClusterMatch(
-                    global_label=gl,
-                    shard_id=sh,
-                    local_label=ll,
-                    distance=di,
-                    normalized_distance=nd,
-                    cluster_size=cs,
-                    medoid_identifier=identifier,
-                    medoid_precursor_mz=mz,
-                    medoid_charge=mc,
-                )
-            )
-            cursor += 1
-        results.append(row)
-    return results
 
 
 def detach_binary(message: dict) -> dict:
@@ -951,42 +890,9 @@ def inline_message(message: dict) -> dict:
                 offset += count
             result[field] = records
         elif kind == "matches":
-            counts, ints, floats, id_lengths, id_bytes = _match_columns(
-                binary, field
-            )
-            int_rows = ints.tolist()
-            float_rows = floats.tolist()
-            lengths = id_lengths.tolist()
-            id_view = _as_byte_view(id_bytes)
-            rows = []
-            cursor = 0
-            id_offset = 0
-            for count in counts.tolist():
-                row = []
-                for _ in range(count):
-                    id_length = lengths[cursor]
-                    gl, sh, ll, di, cs, mc = int_rows[cursor]
-                    nd, mz_value = float_rows[cursor]
-                    row.append(
-                        {
-                            "global_label": gl,
-                            "shard_id": sh,
-                            "local_label": ll,
-                            "distance": di,
-                            "normalized_distance": nd,
-                            "cluster_size": cs,
-                            "medoid_identifier": str(
-                                id_view[id_offset : id_offset + id_length],
-                                "utf-8",
-                            ),
-                            "medoid_precursor_mz": mz_value,
-                            "medoid_charge": mc,
-                        }
-                    )
-                    cursor += 1
-                    id_offset += id_length
-                rows.append(row)
-            result[field] = rows
+            result[field] = MatchTable.from_columns(
+                *_match_columns(binary, field)
+            ).to_records()
         else:
             raise ServiceError(
                 f"cannot inline payload kind {kind!r} for a legacy peer"

@@ -19,7 +19,12 @@ a durable substrate.  This package provides it:
     :class:`QueryService` — batched top-k nearest clusters by packed
     Hamming distance against shard medoids (one cross-Hamming pass per
     shard per batch), fanned out across shards on the
-    :mod:`repro.execution` backends with a vectorised global merge.
+    :mod:`repro.execution` backends.
+``repro.store.matches``
+    :class:`MatchTable` — a query answer as flat columns from shard
+    scan to client, rows of :class:`ClusterMatch` materialised on
+    demand — and :func:`merge_topk`, the one ``(distance, shard, local
+    label)`` merge the query service and the fleet router share.
 ``repro.store.index``
     :class:`BitSliceMedoidIndex` — per-shard transposed bit-plane index
     that prunes shard scans to a candidate set provably containing the
@@ -61,13 +66,14 @@ from .integrity import (
     verify_generation,
 )
 from .manifest import MANIFEST_VERSION, RepositoryManifest
+from .matches import ClusterMatch, MatchTable, merge_topk
 from .repository import (
     ClusterRepository,
     RepositoryConfig,
     RepositoryUpdateReport,
     shard_for_bucket,
 )
-from .query import ClusterMatch, QueryService
+from .query import QueryService
 from .snapshot import (
     RepositorySnapshot,
     generations_on_disk,
@@ -95,6 +101,8 @@ __all__ = [
     "RepositoryUpdateReport",
     "shard_for_bucket",
     "ClusterMatch",
+    "MatchTable",
+    "merge_topk",
     "QueryService",
     "RepositorySnapshot",
     "generations_on_disk",

@@ -5,9 +5,11 @@ disjoint set of clusters, so a query batch is encoded once and fanned out
 across shards — each fan-out task scans one shard's medoid matrix for the
 *whole batch at once* (one :func:`repro.hdc.hamming_cross` pass plus an
 ``argpartition``-based top-k, optionally pruned by the shard's exact
-:class:`~repro.store.index.BitSliceMedoidIndex`) and the service merges
-the per-shard candidate lists with a single vectorised lexsort keyed
-``(distance, shard, local label)``.
+:class:`~repro.store.index.BitSliceMedoidIndex`), the scan's ordinals
+gather a per-shard :class:`~repro.store.matches.MatchTable` out of the
+shard's medoid columns, and :func:`~repro.store.matches.merge_topk` —
+the same merge the fleet router runs over per-node answers — ranks the
+per-shard tables into the answer.  No per-match object is built.
 
 The fan-out reuses the :mod:`repro.execution` backends via a persistent
 :class:`~repro.execution.ExecutionPool`.  Small batches and single-shard
@@ -29,7 +31,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,22 +45,8 @@ from .index import (
     BitSliceMedoidIndex,
     batched_topk,
 )
+from .matches import ClusterMatch, MatchTable, merge_topk
 from .repository import ClusterRepository
-
-
-@dataclass(frozen=True)
-class ClusterMatch:
-    """One query hit: a cluster, addressed globally and per shard."""
-
-    global_label: int
-    shard_id: int
-    local_label: int
-    distance: int
-    normalized_distance: float
-    cluster_size: int
-    medoid_identifier: str
-    medoid_precursor_mz: float
-    medoid_charge: int
 
 
 @dataclass
@@ -68,13 +56,9 @@ class _ShardIndex:
     shard_id: int
     local_labels: List[int]
     medoid_vectors: np.ndarray
-    sizes: List[int]
-    identifiers: List[str]
-    precursor_mz: List[float]
-    charges: List[int]
-    labels_array: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.int64)
-    )
+    #: One row holding every medoid in ``local_labels`` order at distance
+    #: 0 — the columns a scan's ordinals gather their matches out of.
+    medoids: MatchTable
     bitslice: Optional[BitSliceMedoidIndex] = None
     snapshot_path: Optional[str] = None
 
@@ -315,11 +299,21 @@ class QueryService:
                     shard_id=shard_id,
                     local_labels=labels,
                     medoid_vectors=vectors,
-                    sizes=[sizes[label] for label in labels],
-                    identifiers=[s.identifier for s in medoids],
-                    precursor_mz=[s.precursor_mz for s in medoids],
-                    charges=[s.precursor_charge for s in medoids],
-                    labels_array=np.asarray(labels, dtype=np.int64),
+                    medoids=MatchTable.from_fields(
+                        [len(labels)],
+                        [s.identifier for s in medoids],
+                        global_label=[
+                            self.repository.global_label(shard_id, label)
+                            for label in labels
+                        ],
+                        shard_id=shard_id,
+                        local_label=labels,
+                        distance=0,
+                        normalized_distance=0.0,
+                        cluster_size=[sizes[label] for label in labels],
+                        medoid_precursor_mz=[s.precursor_mz for s in medoids],
+                        medoid_charge=[s.precursor_charge for s in medoids],
+                    ),
                     bitslice=(
                         self._shard_bitslice(shard_id, vectors)
                         if labels
@@ -372,12 +366,12 @@ class QueryService:
 
     def query(
         self, spectra: Sequence[MassSpectrum], k: int = 5
-    ) -> List[List[ClusterMatch]]:
+    ) -> MatchTable:
         """Top-k nearest clusters for each query spectrum.
 
         Queries are preprocessed with the repository's configuration and
         encoded with its encoder; a spectrum that fails QC gets an empty
-        result list (positions stay aligned with the input).
+        result row (positions stay aligned with the input).
         """
         kept: List[MassSpectrum] = []
         kept_positions: List[int] = []
@@ -388,14 +382,12 @@ class QueryService:
             if processed is not None:
                 kept.append(processed)
                 kept_positions.append(position)
-        results: List[List[ClusterMatch]] = [[] for _ in spectra]
-        if kept:
-            vectors = self.repository.encoder.encode_batch(kept)
-            for position, matches in zip(
-                kept_positions, self.query_vectors(vectors, k)
-            ):
-                results[position] = matches
-        return results
+        table = (
+            self.query_vectors(self.repository.encoder.encode_batch(kept), k)
+            if kept
+            else MatchTable.empty(0)
+        )
+        return table.scattered(kept_positions, len(spectra))
 
     def _validated(self, query_vectors: np.ndarray) -> np.ndarray:
         query_vectors = np.asarray(query_vectors, dtype=np.uint64)
@@ -408,10 +400,10 @@ class QueryService:
         query_vectors: np.ndarray,
         k: int = 5,
         shards: Optional[Sequence[int]] = None,
-    ) -> List[List[ClusterMatch]]:
+    ) -> MatchTable:
         """Top-k nearest clusters for pre-encoded packed query vectors.
 
-        ``k < 1`` yields empty match lists, matching the reference path.
+        ``k < 1`` yields empty match rows, matching the reference path.
 
         ``shards`` restricts the scan to that shard subset and returns
         the *exact* top-k over it.  Because the global merge orders by
@@ -422,10 +414,8 @@ class QueryService:
         """
         query_vectors = self._validated(query_vectors)
         num_queries = query_vectors.shape[0]
-        if num_queries == 0:
-            return []
-        if k < 1:
-            return [[] for _ in range(num_queries)]
+        if num_queries == 0 or k < 1:
+            return MatchTable.empty(num_queries)
         self._refresh_indexes()
         if shards is not None:
             wanted = {int(shard_id) for shard_id in shards}
@@ -449,7 +439,7 @@ class QueryService:
                 index for index in self._indexes if index.local_labels
             ]
         if not populated:
-            return [[] for _ in range(num_queries)]
+            return MatchTable.empty(num_queries)
         inline = (
             len(populated) == 1
             or num_queries <= self.inline_batch_threshold
@@ -475,89 +465,14 @@ class QueryService:
             outcomes = [_shard_topk_task(task) for task in tasks]
         else:
             outcomes = self._pool.map(_shard_topk_task, tasks)
-        return self._merge_outcomes(populated, outcomes, num_queries, k)
-
-    def _merge_outcomes(
-        self,
-        populated: List[_ShardIndex],
-        outcomes: List[Tuple[np.ndarray, np.ndarray]],
-        num_queries: int,
-        k: int,
-    ) -> List[List[ClusterMatch]]:
-        """Vectorised global merge of the per-shard top-k lists.
-
-        Stacks every shard's ``(distance, shard, label)`` candidates,
-        ranks all queries with one lexsort (query index as the outermost
-        key, so each query's block comes out contiguous and sorted), and
-        slices the first k per query — the same deterministic tie order
-        as the PR 2 per-candidate merge.
-        """
-        distance_stack = np.concatenate(
-            [distances for _, distances in outcomes], axis=1
-        )
-        ordinal_stack = np.concatenate(
-            [ordinals for ordinals, _ in outcomes], axis=1
-        )
-        shard_row = np.concatenate(
+        dim = self.repository.encoder.dim
+        return merge_topk(
             [
-                np.full(ordinals.shape[1], index.shard_id, dtype=np.int64)
-                for index, (ordinals, _) in zip(populated, outcomes)
-            ]
-        )
-        label_stack = np.concatenate(
-            [
-                index.labels_array[ordinals]
-                for index, (ordinals, _) in zip(populated, outcomes)
+                index.medoids.scored(ordinals, distances, dim)
+                for index, (ordinals, distances) in zip(populated, outcomes)
             ],
-            axis=1,
+            k,
         )
-        total = distance_stack.shape[1]
-        keep = min(k, total)
-        shard_stack = np.broadcast_to(shard_row, (num_queries, total))
-        query_row = np.repeat(
-            np.arange(num_queries, dtype=np.int64), total
-        )
-        order = np.lexsort(
-            (
-                label_stack.ravel(),
-                shard_stack.ravel(),
-                distance_stack.ravel(),
-                query_row,
-            )
-        )
-        top = order.reshape(num_queries, total)[:, :keep]
-        top_distance = distance_stack.ravel()[top]
-        top_shard = shard_stack.ravel()[top]
-        top_label = label_stack.ravel()[top]
-        top_ordinal = ordinal_stack.ravel()[top]
-
-        dim = float(self.repository.encoder.dim)
-        results: List[List[ClusterMatch]] = []
-        for j in range(num_queries):
-            matches: List[ClusterMatch] = []
-            for position in range(keep):
-                shard_id = int(top_shard[j, position])
-                ordinal = int(top_ordinal[j, position])
-                distance = int(top_distance[j, position])
-                local_label = int(top_label[j, position])
-                index = self._indexes[shard_id]
-                matches.append(
-                    ClusterMatch(
-                        global_label=self.repository.global_label(
-                            shard_id, local_label
-                        ),
-                        shard_id=shard_id,
-                        local_label=local_label,
-                        distance=distance,
-                        normalized_distance=distance / dim,
-                        cluster_size=index.sizes[ordinal],
-                        medoid_identifier=index.identifiers[ordinal],
-                        medoid_precursor_mz=index.precursor_mz[ordinal],
-                        medoid_charge=index.charges[ordinal],
-                    )
-                )
-            results.append(matches)
-        return results
 
     def query_vectors_reference(
         self, query_vectors: np.ndarray, k: int = 5
@@ -597,20 +512,15 @@ class QueryService:
             candidates.sort(key=lambda item: (item[0], item[1], item[2]))
             matches: List[ClusterMatch] = []
             for distance, shard_id, local_label, ordinal in candidates[:k]:
-                index = self._indexes[shard_id]
+                (medoid_row,) = self._indexes[shard_id].medoids
                 matches.append(
-                    ClusterMatch(
+                    replace(
+                        medoid_row[ordinal],
                         global_label=self.repository.global_label(
                             shard_id, local_label
                         ),
-                        shard_id=shard_id,
-                        local_label=local_label,
                         distance=distance,
                         normalized_distance=distance / dim,
-                        cluster_size=index.sizes[ordinal],
-                        medoid_identifier=index.identifiers[ordinal],
-                        medoid_precursor_mz=index.precursor_mz[ordinal],
-                        medoid_charge=index.charges[ordinal],
                     )
                 )
             results.append(matches)

@@ -48,7 +48,7 @@ from repro.service.protocol import (
     spectra_to_wire,
     vectors_to_wire,
 )
-from repro.store import ClusterRepository, QueryService
+from repro.store import ClusterMatch, ClusterRepository, QueryService
 
 
 _HEADER = struct.Struct(">4sHI")
@@ -293,6 +293,51 @@ class TestAdversarialFrames:
         received = roundtrip(message)
         with pytest.raises(ProtocolError, match="count mismatch"):
             extract_spectra(received)
+
+
+    @staticmethod
+    def _two_matches(id_bytes: bytes):
+        """A one-row answer whose two 2-byte identifiers are swapped for
+        ``id_bytes`` after attachment (lengths stay [2, 2])."""
+        row = [
+            ClusterMatch(7, 0, label, 3, 0.1, 2, "ab", 400.5, 2)
+            for label in (1, 2)
+        ]
+        message = attach_matches({"status": "ok"}, [row])
+        message[BINARY_KEY]["results.id"] = id_bytes
+        return message
+
+    @pytest.mark.parametrize(
+        "id_bytes, reason",
+        [
+            (b"a\xffcd", "not UTF-8"),  # no such byte in UTF-8
+            (b"ab\xc3d", "not UTF-8"),  # truncated two-byte character
+            (b"a\xc3\xa9d", "split a UTF-8 character"),  # valid blob, bad cut
+        ],
+    )
+    def test_match_identifiers_must_be_utf8(self, id_bytes, reason):
+        message = self._two_matches(id_bytes)
+        with pytest.raises(ProtocolError, match=reason):
+            extract_matches(roundtrip(message))
+        with pytest.raises(ProtocolError, match=reason):
+            inline_message(message)  # the v1 re-encode of a relayed answer
+        # Multi-byte characters cut *between* identifiers are fine.
+        fine = self._two_matches("éü".encode("utf-8"))
+        assert extract_matches(roundtrip(fine))[0][1].medoid_identifier == "ü"
+
+    def test_match_columns_of_the_wrong_dtype_are_typed(self):
+        message = self._two_matches(b"abcd")
+        counts = message[PAYLOADS_KEY][0]
+        assert counts["name"] == "results.n"
+        counts.update(dtype="B", shape=[8])  # same bytes, not an int column
+        with pytest.raises(ProtocolError, match="dtypes disagree"):
+            extract_matches(roundtrip(message))
+
+    def test_match_counts_must_cover_the_columns(self):
+        message = self._two_matches(b"abcd")
+        message[BINARY_KEY]["results.n"] = np.array([3], dtype="<i8")
+        with pytest.raises(ProtocolError, match="count mismatch"):
+            extract_matches(roundtrip(message))
 
 
 class TestReceiverBuffers:
