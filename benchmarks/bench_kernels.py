@@ -1,22 +1,14 @@
-"""Kernel-tier benchmark: per-kernel tier sweep + FAISS head-to-head.
+"""Kernel-tier benchmark: per-kernel tier sweep.
 
-Two questions, answered with committed numbers:
-
-1. What does each kernel tier buy?  Every buildable tier (numpy always;
-   numba/cupy where installed) runs the four hot kernels —
-   ``popcount_swar``, ``hamming_cross``, ``hamming_pairs`` (the
-   XOR+popcount row kernel behind index verification) and the CSA
-   encode pair (``csa_accumulate`` + ``counts_from_planes``) — over the
-   full-scale shapes, asserting byte-identity against the numpy
-   reference before timing.  Unavailable tiers are *recorded*, not
-   skipped silently: the JSON says why (e.g. numba not installed), so a
-   fleet node silently serving on the slow tier is diffable.
-2. How does :class:`~repro.store.index.BitSliceMedoidIndex` compare to
-   FAISS binary indexes?  ``IndexBinaryFlat`` (exact) and
-   ``IndexBinaryIVF`` (approximate) over the same packed medoids:
-   build time, query throughput, recall@k against exact brute force.
-   Runs only when faiss imports; otherwise the head-to-head is an
-   explicit ``{"available": false, "reason": ...}`` record.
+What does each kernel tier buy?  Every buildable tier (numpy always;
+numba where installed) runs the four hot kernels — ``popcount_swar``,
+``hamming_cross``, ``hamming_pairs`` (the XOR+popcount row kernel
+behind index verification) and the CSA encode pair (``csa_accumulate``
++ ``counts_from_planes``) — over the full-scale shapes, asserting
+byte-identity against the numpy reference before timing.  Unavailable
+tiers are *recorded*, not skipped silently: the JSON says why (e.g.
+numba not installed), so a fleet node silently serving on the slow tier
+is diffable.
 
 Run under pytest (see README) or directly::
 
@@ -33,17 +25,13 @@ import numpy as np
 
 from repro.hdc import kernels
 from repro.hdc.bitops import csa_accumulate, counts_from_planes
-from repro.hdc.hamming import _hamming_cross_numpy
 from repro.reporting import banner, format_table
-from repro.store.index import BitSliceMedoidIndex, batched_topk
 
-TOP_K = 10
 #: hamming_cross full-scale shape: 1k queries x 100k refs at 1024 dims.
 CROSS_QUERIES, CROSS_REFS, DIM = 1_000, 100_000, 1_024
 POPCOUNT_WORDS = 4_000_000
 PAIR_ROWS = 1_000_000
 CSA_ROWS, CSA_LANES = 48, 4_096
-INDEX_MEDOIDS, INDEX_QUERIES = 100_000, 1_000
 
 
 def _best_of(function, repeats=3):
@@ -166,145 +154,21 @@ def _tier_sweep(rng, smoke):
     return rows, records, unavailable
 
 
-def _recall_at_k(got_ids, want_ids):
-    """Mean fraction of the exact top-k recovered per query."""
-    hits = 0
-    for got, want in zip(got_ids, want_ids):
-        hits += len(set(got.tolist()) & set(want.tolist()))
-    return hits / want_ids.size
-
-
-def _faiss_head_to_head(rng, smoke):
-    """BitSliceMedoidIndex vs FAISS binary indexes (or a reason record)."""
-    try:
-        import faiss
-    except Exception as exc:  # noqa: BLE001 - optional dependency
-        return None, {
-            "available": False,
-            "reason": f"{type(exc).__name__}: {exc}",
-        }
-
-    scale = 64 if smoke else 1
-    count = INDEX_MEDOIDS // scale
-    num_queries = INDEX_QUERIES // scale
-    words = DIM // 64
-    vectors = rng.integers(
-        0, 2**64, size=(count, words), dtype=np.uint64
-    )
-    queries = rng.integers(
-        0, 2**64, size=(num_queries, words), dtype=np.uint64
-    )
-    exact = _hamming_cross_numpy(queries, vectors)
-    want_ids, _ = batched_topk(exact, TOP_K)
-
-    contenders = []
-
-    def time_build(make):
-        start = time.perf_counter()
-        built = make()
-        return time.perf_counter() - start, built
-
-    build_s, index = time_build(
-        lambda: BitSliceMedoidIndex.build(vectors, DIM)
-    )
-    query_s, (got_ids, _) = _best_of(
-        lambda: index.topk(vectors, queries, TOP_K),
-        repeats=1 if smoke else 3,
-    )
-    contenders.append(
-        ("bitslice (exact)", build_s, query_s,
-         _recall_at_k(got_ids, want_ids))
-    )
-
-    packed = np.ascontiguousarray(
-        vectors.view(np.uint8).reshape(count, words * 8)
-    )
-    packed_queries = np.ascontiguousarray(
-        queries.view(np.uint8).reshape(num_queries, words * 8)
-    )
-
-    build_s, flat = time_build(
-        lambda: _faiss_add(faiss.IndexBinaryFlat(DIM), packed)
-    )
-    query_s, (_, got) = _best_of(
-        lambda: flat.search(packed_queries, TOP_K),
-        repeats=1 if smoke else 3,
-    )
-    contenders.append(
-        ("faiss IndexBinaryFlat", build_s, query_s,
-         _recall_at_k(got, want_ids))
-    )
-
-    nlist = max(1, min(count // 64, 4_096))
-
-    def make_ivf():
-        quantizer = faiss.IndexBinaryFlat(DIM)
-        ivf = faiss.IndexBinaryIVF(quantizer, DIM, nlist)
-        ivf.train(packed)
-        ivf.add(packed)
-        ivf.nprobe = max(1, nlist // 16)
-        return ivf
-
-    build_s, ivf = time_build(make_ivf)
-    query_s, (_, got) = _best_of(
-        lambda: ivf.search(packed_queries, TOP_K),
-        repeats=1 if smoke else 3,
-    )
-    contenders.append(
-        (f"faiss IndexBinaryIVF (nlist={nlist})", build_s, query_s,
-         _recall_at_k(got, want_ids))
-    )
-
-    rows = [
-        [
-            name,
-            f"{build_s:.3f}",
-            f"{num_queries / query_s:,.0f}",
-            f"{recall:.4f}",
-        ]
-        for name, build_s, query_s, recall in contenders
-    ]
-    record = {
-        "available": True,
-        "medoids": count,
-        "queries": num_queries,
-        "dim": DIM,
-        "k": TOP_K,
-        "contenders": [
-            {
-                "index": name,
-                "build_s": round(build_s, 4),
-                "queries_per_s": round(num_queries / query_s, 1),
-                "recall_at_k": round(recall, 4),
-            }
-            for name, build_s, query_s, recall in contenders
-        ],
-    }
-    return rows, record
-
-
-def _faiss_add(index, packed):
-    index.add(packed)
-    return index
-
-
 def _run(smoke):
     rng = np.random.default_rng(20_240_808)
     kernels._reset_registry()
 
     runtime = kernels.kernel_runtime()
     sweep_rows, sweep_records, unavailable = _tier_sweep(rng, smoke)
-    faiss_rows, faiss_record = _faiss_head_to_head(rng, smoke)
 
     sections = [
         banner(
-            "Kernel tiers: per-kernel sweep + FAISS head-to-head"
+            "Kernel tiers: per-kernel sweep"
             + (" (smoke mode)" if smoke else "")
         ),
         f"active tier: {runtime['tier']} "
         f"(v{runtime['tier_version']}); "
-        f"numba: {runtime['numba_version'] or 'not installed'}, "
-        f"cupy: {runtime['cupy_version'] or 'not installed'}",
+        f"numba: {runtime['numba_version'] or 'not installed'}",
     ]
     for name, reason in sorted(unavailable.items()):
         sections.append(f"tier {name} unavailable: {reason}")
@@ -318,26 +182,12 @@ def _run(smoke):
         "Equivalence asserted per tier before timing: every kernel's",
         "output byte-identical to the numpy reference.",
     ]
-    if faiss_rows is None:
-        sections += [
-            "",
-            f"FAISS head-to-head skipped: {faiss_record['reason']}",
-        ]
-    else:
-        sections += [
-            "",
-            format_table(
-                ["index", "build s", "q/s", f"recall@{TOP_K}"],
-                faiss_rows,
-            ),
-        ]
 
     headline = {
         "benchmark": "kernels",
         "runtime": runtime,
         "unavailable_tiers": unavailable,
         "kernel_sweep": sweep_records,
-        "faiss_head_to_head": faiss_record,
     }
     return "\n".join(sections), headline
 

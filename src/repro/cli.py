@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sampled bit planes per shard index "
              "(default: the repository manifest's setting)",
     )
-    _add_protocol_version_argument(query)
     _add_kernel_tier_argument(query)
 
     repo_info = subparsers.add_parser(
@@ -360,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="orphaned .partial staging dirs older than this many "
              "seconds are swept during retirement (default 3600)",
     )
-    _add_protocol_version_argument(serve)
     _add_kernel_tier_argument(serve)
 
     scrub = subparsers.add_parser(
@@ -457,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-bytes", type=int, default=4 * 1024 * 1024,
         help="transfer granularity (default 4 MiB)",
     )
-    _add_protocol_version_argument(fleet_replicate)
 
     route = subparsers.add_parser(
         "route", help="the fleet's scatter-gather query router"
@@ -485,28 +482,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--probe-timeout", type=float, default=2.0,
         help="per-probe timeout in seconds (default 2.0)",
     )
-    _add_protocol_version_argument(route_serve)
     _add_kernel_tier_argument(route_serve)
     return parser
-
-
-def _add_protocol_version_argument(
-    command: argparse.ArgumentParser,
-) -> None:
-    command.add_argument(
-        "--protocol-version", type=int, default=None, metavar="N",
-        choices=(1, 2, 3),
-        help="cap the wire protocol version announced during hello "
-             "negotiation; 1/2 force the JSON payload codec, 3 allows "
-             "out-of-band binary payloads (default: this build's "
-             "preference, capped by REPRO_PROTOCOL_VERSION)",
-    )
 
 
 def _add_kernel_tier_argument(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--kernel-tier", default="auto",
-        choices=("auto", "numpy", "numba", "cupy"),
+        choices=("auto", "numpy", "numba"),
         help="bit-kernel backend: auto picks the fastest available tier, "
              "an explicit unavailable tier degrades to numpy with a log "
              "line (REPRO_KERNEL_TIER overrides; default auto)",
@@ -900,9 +883,7 @@ def _query_service_context(args: argparse.Namespace):
                 file=sys.stderr,
             )
         host, port = _parse_address(address, flag)
-        with ServiceClient(
-            host, port, protocol_version=args.protocol_version
-        ) as client:
+        with ServiceClient(host, port) as client:
             yield client.query
 
     if args.router is not None:
@@ -1095,7 +1076,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         scrub_bytes_per_second=args.scrub_rate,
         repair_peers=tuple(args.repair_peer),
         partial_sweep_age_seconds=args.partial_sweep_age,
-        protocol_version=args.protocol_version,
     )
     service = ClusterService(args.repository, config)
     try:
@@ -1294,15 +1274,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         ].isdigit()
         if pull:
             host, port = _parse_address(args.source, "source")
-            with ServiceClient(
-                host, port, protocol_version=args.protocol_version
-            ) as client:
+            with ServiceClient(host, port) as client:
                 installed = replicator.pull(client, Path(args.target))
         else:
             host, port = _parse_address(args.target, "target")
-            with ServiceClient(
-                host, port, protocol_version=args.protocol_version
-            ) as client:
+            with ServiceClient(host, port) as client:
                 installed = replicator.push(Path(args.source), client)
         if installed is None:
             print("already up to date")
@@ -1328,7 +1304,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
             port=args.port,
             probe_interval=args.probe_interval,
             probe_timeout=args.probe_timeout,
-            protocol_version=args.protocol_version,
         ),
     )
     try:

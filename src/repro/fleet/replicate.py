@@ -24,12 +24,9 @@ pull restarts against the new serving generation — bounded by
 ``max_restarts`` so a source checkpointing faster than the network can
 ship eventually errors instead of looping forever.
 
-Chunks ride the client's negotiated payload codec: raw out-of-band
-bytes against binary-capable peers (each ``fetch_chunk`` yields a
-zero-copy view that is staged to disk before the next request reuses
-the receive buffer), base64 JSON against version-1 peers — the staged
-bytes are identical either way, and the digest check would catch any
-divergence.
+Chunks ride the wire as raw out-of-band bytes: each ``fetch_chunk``
+yields a zero-copy view that is staged to disk before the next request
+reuses the receive buffer, and the digest check catches any divergence.
 """
 
 from __future__ import annotations

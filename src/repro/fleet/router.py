@@ -86,11 +86,6 @@ class RouterConfig:
     #: Retry policy for routed queries (transport retries reconnect; the
     #: router's own failover handles node death, so keep this short).
     retry: RetryPolicy = field(default_factory=lambda: RetryPolicy(attempts=2))
-    #: Frame version cap, applied both to what the router's own socket
-    #: front announces and to the pooled client connections toward
-    #: member nodes (None = this build's preference, capped by
-    #: ``REPRO_PROTOCOL_VERSION``).
-    protocol_version: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.probe_interval < 0:
@@ -99,14 +94,6 @@ class RouterConfig:
             raise ConfigurationError("probe_timeout must be > 0")
         if self.pool_max_idle < 0:
             raise ConfigurationError("pool_max_idle must be >= 0")
-        if (
-            self.protocol_version is not None
-            and self.protocol_version not in protocol.SUPPORTED_PROTOCOLS
-        ):
-            raise ConfigurationError(
-                "protocol_version: "
-                + protocol.version_mismatch_error(self.protocol_version)
-            )
 
 
 class _NodeState:
@@ -145,7 +132,6 @@ class RouterDaemon:
                 },
                 retry=config.retry,
                 connect_timeout=config.probe_timeout,
-                protocol_version=config.protocol_version,
             )
             for name, node in placement.nodes.items()
         }
@@ -195,7 +181,6 @@ class RouterDaemon:
             handle=self._handle,
             on_shutdown=self.stop,
             name="repro-router",
-            protocol_version=self.config.protocol_version,
         )
         self.port = self._server.start()
         if self.config.probe_interval > 0:

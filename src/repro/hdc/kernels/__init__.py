@@ -3,7 +3,7 @@
 Every hot loop in the system — encode (``csa_accumulate``), scan
 (``hamming_cross``, ``popcount_swar``) and candidate generation
 (``counts_from_planes`` inside the bit-slice medoid index) — dispatches
-through this registry.  Three tiers exist:
+through this registry.  Two tiers exist:
 
 ``numpy``
     The original vectorised implementations in :mod:`repro.hdc.bitops`
@@ -13,13 +13,9 @@ through this registry.  Three tiers exist:
     JIT-compiled fused loops (``parallel=True`` prange tiles, XOR +
     SWAR popcount with no intermediate allocation).  Available when
     numba imports and compiles; see :mod:`.numba_tier`.
-``cupy``
-    GPU ``hamming_cross`` via a ``__popcll`` elementwise kernel, CPU
-    delegation for everything else.  Available when cupy imports and a
-    CUDA device is usable; see :mod:`.cupy_tier`.
 
 Selection is automatic at first dispatch — the best available tier wins
-(``cupy`` > ``numba`` > ``numpy``) — with overrides layered as
+(``numba`` > ``numpy``) — with overrides layered as
 
 1. the ``REPRO_KERNEL_TIER`` environment variable (highest),
 2. :func:`set_kernel_tier` (what ``RepositoryConfig.kernel_tier`` and
@@ -28,7 +24,7 @@ Selection is automatic at first dispatch — the best available tier wins
 
 A requested tier that is *unknown* raises
 :class:`~repro.errors.ConfigurationError`; a known tier that is
-*unavailable* (numba not installed, JIT failure, no GPU) degrades
+*unavailable* (numba not installed, JIT failure) degrades
 silently to ``numpy`` with one structured log line — never an error.
 Exactness bar: every backend function is property-pinned byte-identical
 to the numpy tier (``tests/hdc/test_kernel_tiers.py``).
@@ -56,7 +52,7 @@ log = get_logger("kernels")
 ENV_VAR = "REPRO_KERNEL_TIER"
 
 #: Known tier names, best first (the auto-selection probe order).
-KERNEL_TIERS = ("cupy", "numba", "numpy")
+KERNEL_TIERS = ("numba", "numpy")
 
 #: Tier name -> module implementing ``build_backend()``.  A dict (not
 #: hardcoded imports) so tests can simulate a missing dependency by
@@ -64,7 +60,6 @@ KERNEL_TIERS = ("cupy", "numba", "numpy")
 _TIER_MODULES: Dict[str, str] = {
     "numpy": "repro.hdc.kernels.numpy_tier",
     "numba": "repro.hdc.kernels.numba_tier",
-    "cupy": "repro.hdc.kernels.cupy_tier",
 }
 
 
@@ -269,7 +264,6 @@ class _Registry:
                 for name, reason in status.items()
             },
             "numba_version": _dist_version("numba"),
-            "cupy_version": _dist_version("cupy"),
         }
 
     def reset(self) -> None:

@@ -17,12 +17,12 @@ baselines model — continuous ingest interleaved with online queries:
     idempotent ops only; protocol errors → never).
 ``repro.service.server``
     :class:`RequestServer` — the shared socket front (framing, version
-    handshake, shutdown plumbing) under both the daemon and the fleet
+    gate, shutdown plumbing) under both the daemon and the fleet
     router.
 ``repro.service.protocol``
-    The length-prefixed wire format both sides speak — JSON control
-    headers, out-of-band binary payloads on version-3 frames, version
-    negotiation, and the transparent JSON fallback for older peers.
+    The one length-prefixed wire format both sides speak — a JSON
+    control header plus out-of-band binary payloads per frame, under
+    one version number.
 
 CLI: ``repro serve <repo>`` runs the daemon, ``repro query --remote
 HOST:PORT`` queries it; the multi-node layer lives in :mod:`repro.fleet`.

@@ -22,21 +22,15 @@ Failure handling is deliberately three-tiered:
 * protocol errors (an ``error`` response) are never retried: the daemon
   saw the request and rejected it, so sending it again cannot help.
 
-On connect the client performs the ``hello`` handshake: it announces
-its preferred protocol version in a version-1 frame (readable by any
-server) and negotiates ``min(ours, theirs)``.  A pre-handshake server
-answers ``unknown op 'hello'`` and is treated as version 1; a server
-that speaks neither side's version fails with the protocol's one clear
-version-mismatch sentence instead of a decode error.
+On connect the client sends ``hello`` announcing
+:data:`~repro.service.protocol.PROTOCOL_VERSION` and requires the
+server to answer with the same number; anything else fails the connect
+with the protocol's one clear version-mismatch sentence instead of a
+decode error on the first real request.
 
-Bulk payloads (vectors, spectra, chunks, results) are attached in
-binary form and ride out-of-band when the negotiated version supports
-the binary codec; against older servers the encoder transparently
-inlines them to the JSON shapes those servers always spoke.  Pass
-``protocol_version=1`` (or set ``REPRO_PROTOCOL_VERSION``) to cap what
-this client announces.  :attr:`ServiceClient.bytes_sent` /
-:attr:`~ServiceClient.bytes_received` count the wire traffic either
-way.
+Bulk payloads (vectors, spectra, chunks, results) ride as out-of-band
+binary payloads; :attr:`ServiceClient.bytes_sent` /
+:attr:`~ServiceClient.bytes_received` count the wire traffic.
 """
 
 from __future__ import annotations
@@ -147,10 +141,6 @@ class ServiceClient:
     retry:
         Default :class:`RetryPolicy` applied by :meth:`call` (and every
         convenience method).  Pass :data:`NO_RETRY` to disable.
-    protocol_version:
-        Cap on the frame version this client announces (default:
-        :func:`~repro.service.protocol.preferred_version`).  Negotiation
-        still takes ``min(ours, theirs)``; 1 forces the JSON codec.
     """
 
     def __init__(
@@ -161,16 +151,9 @@ class ServiceClient:
         op_timeouts: Optional[Dict[str, float]] = None,
         retry: RetryPolicy = RetryPolicy(),
         connect_timeout: Optional[float] = None,
-        protocol_version: Optional[int] = None,
     ) -> None:
         if port < 1:
             raise ServiceError("port must be a bound daemon port")
-        if protocol_version is None:
-            protocol_version = protocol.preferred_version()
-        if protocol_version not in protocol.SUPPORTED_PROTOCOLS:
-            raise ServiceError(
-                protocol.version_mismatch_error(protocol_version)
-            )
         self.host = host
         self.port = port
         self.timeout = timeout
@@ -181,15 +164,12 @@ class ServiceClient:
         )
         self._rng = random.Random()
         self._sock: Optional[socket.socket] = None
-        self._announce_version = protocol_version
         self._receiver = protocol.FrameReceiver()
         #: Total wire bytes this client has sent / received (framing
         #: included) — the client-side mirror of the daemon's transport
         #: metrics.
         self.bytes_sent = 0
         self.bytes_received = 0
-        #: Frame version negotiated by the ``hello`` handshake.
-        self.protocol_version: int = protocol_version
         self._connect()
 
     # ------------------------------------------------------------------
@@ -202,23 +182,17 @@ class ServiceClient:
         )
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
-        self.protocol_version = self._negotiate()
+        self._hello()
 
-    def _negotiate(self) -> int:
-        """The ``hello`` handshake; returns the frame version to speak.
-
-        The announcement itself rides a version-1 frame — the protocol
-        floor every server can decode — so negotiation can never be the
-        thing that trips version rejection.
-        """
+    def _hello(self) -> None:
+        """The ``hello`` gate: the server must speak our frame version."""
         assert self._sock is not None
         timeout = self.op_timeouts.get("hello", self.timeout)
         self._sock.settimeout(timeout)
         try:
             self.bytes_sent += protocol.send_message(
                 self._sock,
-                {"op": "hello", "protocol": self._announce_version},
-                version=1,
+                {"op": "hello", "protocol": protocol.PROTOCOL_VERSION},
             )
             response = self._receiver.recv_message(self._sock)
             self.bytes_received += self._receiver.last_frame_bytes
@@ -230,34 +204,20 @@ class ServiceClient:
             raise ServiceError(
                 "server closed the connection during version negotiation"
             )
-        status = response.get("status")
-        if status == "ok":
-            try:
-                theirs = int(response["protocol"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ServiceError(
-                    f"malformed hello response: {exc}"
-                ) from exc
-            negotiated = min(theirs, self._announce_version)
-            if negotiated not in protocol.SUPPORTED_PROTOCOLS:
-                raise ServiceError(protocol.version_mismatch_error(theirs))
-            return negotiated
-        error = str(response.get("error", ""))
-        if "unknown op" in error:
-            # A pre-handshake daemon: it speaks version 1 and simply has
-            # no hello op.  Fall back rather than fail — compatibility
-            # with the previous release is the point of negotiation.
-            return 1
-        raise ServiceError(error or "version negotiation failed")
+        if response.get("status") != "ok":
+            raise ServiceError(
+                str(response.get("error") or "version negotiation failed")
+            )
+        theirs = response.get("protocol")
+        if theirs != protocol.PROTOCOL_VERSION:
+            raise ServiceError(protocol.version_mismatch_error(theirs))
 
     def _roundtrip(self, request: dict, timeout: Optional[float]) -> dict:
         """One send/recv on the live socket; OSError means transport."""
         if self._sock is None:
             raise OSError("connection is closed")
         self._sock.settimeout(timeout)
-        self.bytes_sent += protocol.send_message(
-            self._sock, request, version=self.protocol_version
-        )
+        self.bytes_sent += protocol.send_message(self._sock, request)
         response = self._receiver.recv_message(self._sock)
         self.bytes_received += self._receiver.last_frame_bytes
         if response is None:
@@ -436,10 +396,9 @@ class ServiceClient:
     ) -> bytes:
         """One byte range of a generation member on the source node.
 
-        Under the binary codec this returns a zero-copy memoryview into
-        the client's receive buffer — valid until this client's next
-        request, so consume (write/compare) or copy it before reusing
-        the client.
+        Returns a zero-copy memoryview into the client's receive buffer
+        — valid until this client's next request, so consume
+        (write/compare) or copy it before reusing the client.
         """
         response = self.call(
             {
@@ -521,7 +480,6 @@ class ServiceClientPool:
         op_timeouts: Optional[Dict[str, float]] = None,
         retry: RetryPolicy = RetryPolicy(),
         connect_timeout: Optional[float] = None,
-        protocol_version: Optional[int] = None,
     ) -> None:
         self.host = host
         self.port = port
@@ -530,7 +488,6 @@ class ServiceClientPool:
         self._op_timeouts = op_timeouts
         self._retry = retry
         self._connect_timeout = connect_timeout
-        self._protocol_version = protocol_version
         self._idle: List[ServiceClient] = []
         self._lock = threading.Lock()
         self._closed = False
@@ -548,7 +505,6 @@ class ServiceClientPool:
             op_timeouts=self._op_timeouts,
             retry=self._retry,
             connect_timeout=self._connect_timeout,
-            protocol_version=self._protocol_version,
         )
 
     def checkin(self, client: ServiceClient, healthy: bool = True) -> None:

@@ -31,8 +31,8 @@ ingest interleaved with online nearest-cluster queries:
   beats unbounded queueing in every serving system this models.
 
 The wire protocol is :mod:`repro.service.protocol` (framing + the
-``hello`` version handshake live in :mod:`repro.service.server`); the
-op table:
+``hello`` version gate live in :mod:`repro.service.server`); the op
+table (``[name]`` marks a binary payload):
 
 ==================== ======================================== ==============
 op                    request fields                           response
@@ -41,15 +41,15 @@ op                    request fields                           response
 ``info``              —                                        ``info`` dict
 ``metrics``           —                                        ``metrics`` dict
 ``manifest``          —                                        ``manifest`` JSON
-``query``             ``spectra`` (WAL JSON), ``k``            ``results``
-``query_vectors``     ``dim``/``vec`` (packed b64), ``k``,     ``results``,
+``query``             ``spectra`` ``[spectra.*]``, ``k``       ``[results.*]``
+``query_vectors``     ``dim`` ``[vec]``, ``k``,                ``[results.*]``,
                       optional ``shards``/``generation``       ``generation``
-``ingest``            ``spectra`` (WAL JSON)                   ``report``
+``ingest``            ``spectra`` ``[spectra.*]``              ``report``
 ``checkpoint``        —                                        ``generation``
 ``generation_files``  —                                        listing+manifest
-``fetch_chunk``       ``generation,name,offset,length``        ``data`` (b64)
+``fetch_chunk``       ``generation,name,offset,length``        ``[data]``
 ``push_begin``        ``generation,files,manifest``            resume offsets
-``push_chunk``        ``generation,name,offset,data``          —
+``push_chunk``        ``generation,name,offset`` ``[data]``    —
 ``push_commit``       ``generation``                           ``generation``
 ``shutdown``          —                                        —
 ==================== ======================================== ==============
@@ -157,12 +157,6 @@ class ServiceConfig:
     #: retirement.  An in-progress pull keeps refreshing its files, so
     #: the age threshold never collects it.
     partial_sweep_age_seconds: float = 3600.0
-    #: Frame version the daemon announces during ``hello`` negotiation
-    #: (None = this build's preference, capped by
-    #: ``REPRO_PROTOCOL_VERSION``).  1 forces every negotiating peer
-    #: onto the JSON payload codec — the ``--protocol-version 1``
-    #: escape hatch.
-    protocol_version: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval <= 0:
@@ -198,14 +192,6 @@ class ServiceConfig:
                 raise ConfigurationError(
                     f"repair peer {peer!r} must be host:port"
                 )
-        if (
-            self.protocol_version is not None
-            and self.protocol_version not in protocol.SUPPORTED_PROTOCOLS
-        ):
-            raise ConfigurationError(
-                "protocol_version: "
-                + protocol.version_mismatch_error(self.protocol_version)
-            )
 
 
 @dataclass
@@ -787,11 +773,7 @@ class ClusterService:
         for peer in self.config.repair_peers:
             host, _, port = peer.rpartition(":")
             try:
-                with ServiceClient(
-                    host=host,
-                    port=int(port),
-                    protocol_version=self.config.protocol_version,
-                ) as client:
+                with ServiceClient(host=host, port=int(port)) as client:
                     Replicator().heal(
                         client, self.directory, generation, names
                     )
@@ -1168,7 +1150,6 @@ class ClusterService:
             handle=self._handle,
             on_shutdown=self.stop,
             name="repro",
-            protocol_version=self.config.protocol_version,
             transport=self._transport,
         )
         self.port = self._server.start()

@@ -1,47 +1,44 @@
 """Length-prefixed wire protocol of the cluster-query daemon.
 
-Framing is deliberately minimal: every message — request or response —
-starts with a fixed 10-byte header::
+Every message — request or response — is one frame: a fixed 10-byte
+header, a JSON object, then raw binary payloads::
 
-    +---------+-------------------+--------------------------+---------
-    | "RPRO"  | version (u16, BE) | payload length (u32, BE) | payload
-    +---------+-------------------+--------------------------+---------
+    |<------ 10-byte header ------>|<------------ length bytes ------------>|
+    +--------+---------+-----------+----------+-------------+---------------+
+    | "RPRO" | version |  length   | JSON len | JSON object | payload bytes |
+    |        | u16 BE  |  u32 BE   |  u32 BE  | (padded)    | (concatenated)|
+    +--------+---------+-----------+----------+-------------+---------------+
 
-A fixed header keeps the reader trivial, the magic catches clients
-speaking the wrong protocol to the port, and the explicit version lets
-the format evolve without guessing.
+The magic catches peers speaking something else to the port, and
+``length`` covers everything after the header, so a reader can always
+skip a frame it does not understand.  Bulk data — packed hypervector
+matrices, spectrum peak arrays, generation file chunks, result match
+columns — never enters the JSON: the object's ``_payloads`` list
+declares ``{name, dtype, shape, nbytes}`` per payload and the bytes
+follow, little-endian, concatenated in that order.  Decode is a
+zero-copy ``np.frombuffer`` view into the receiver's buffer.
 
-Frame versions 1 and 2 carry one UTF-8 JSON object as the payload.
-Version 3 adds the **binary payload codec** ("payload codec v2"): the
-payload region starts with a u32 JSON length, then the JSON header,
-then raw little-endian payload bytes declared by a ``_payloads`` list
-in the header (``[{name, dtype, shape, nbytes}, ...]``)::
+There is one wire format and one version number,
+:data:`PROTOCOL_VERSION`.  A frame carrying any other version is
+drained (never decoded), answered with :func:`version_mismatch_error`
+and the connection is closed; ``hello`` lets a client learn that at
+connect time instead of on its first real request.
 
-    +--------+---------------+---------------+------+-----------------
-    | header | json len (u32)| JSON header   | payload bytes (concat)
-    +--------+---------------+---------------+------+-----------------
+Message builders attach payloads with the ``attach_*`` helpers and
+readers take them back with the matching ``extract_*``, which check
+that each payload is present with the dtype and rank its twin writes:
 
-Because the fixed header's length field covers the *whole* payload
-region, a build that predates version 3 drains the frame cleanly and
-answers with its versioned error instead of desyncing the stream.
-
-Bulk data — packed hypervector matrices, encoded spectrum peak arrays,
-generation file chunks, result match columns — rides in those binary
-payloads: no base64, no float lists, and decode is a zero-copy
-``np.frombuffer`` view into the receiver's buffer.  Message builders
-attach binary payloads unconditionally (:func:`attach_vectors` and
-friends); :func:`encode_frame_buffers` transparently inlines them back
-to the version-1 JSON shapes when the negotiated frame version predates
-the codec, so handlers never branch on peer version and every payload
-is bit-identical across versions:
-
-* spectra ride as the WAL's JSON spectrum records under codec v1
-  (shortest-round-trip floats) and as concatenated float64 peak arrays
-  plus JSON header records under codec v2 — both reconstruct the exact
-  same :class:`~repro.spectrum.MassSpectrum`;
-* packed hypervector matrices ride as base64 of their little-endian
-  ``uint64`` bytes plus a ``dim`` field under codec v1 (exactly like
-  ``encoded`` WAL records) and as a raw ``<u8`` matrix under codec v2.
+================== ============================ =======================
+helper pair        JSON fields                  payloads
+================== ============================ =======================
+``*_vectors``      ``dim``                      ``vec`` ``<u8`` 2-d
+``*_spectra``      ``spectra`` header records   ``spectra.n`` ``<i8``,
+                                                ``.mz`` / ``.it`` ``<f8``
+``*_matches``      —                            ``results.n`` / ``.i`` /
+                                                ``.idn`` ``<i8``, ``.f``
+                                                ``<f8``, ``.id`` ``B``
+``*_chunk``        —                            ``data`` ``B``
+================== ============================ =======================
 
 Zero-copy views returned by the ``extract_*`` helpers point into the
 connection's receive buffer and stay valid until the **next** receive
@@ -58,15 +55,13 @@ table.
 
 from __future__ import annotations
 
-import base64
 import json
-import os
 import struct
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import ConfigurationError, ProtocolError, ServiceError
+from ..errors import ProtocolError, ServiceError
 from ..spectrum import MassSpectrum
 from ..store.matches import (
     FLOAT_FIELDS,
@@ -74,33 +69,18 @@ from ..store.matches import (
     ClusterMatch,
     MatchTable,
 )
-from ..store.wal import _spectrum_from_json, _spectrum_to_json
 
 #: Protocol magic: rejects stray HTTP/TLS/etc. traffic immediately.
 MAGIC = b"RPRO"
 
-#: Wire protocol version this build prefers.  Version 2 added the
-#: ``hello`` handshake, shard-restricted / generation-pinned queries,
-#: ``metrics``, and the generation-shipping replication ops (framing
-#: identical to version 1).  Version 3 adds the out-of-band binary
-#: payload codec; the JSON op vocabulary is unchanged.
+#: The one frame version this build speaks.  Every frame carries it;
+#: a frame with any other number is refused with a versioned error.
 PROTOCOL_VERSION = 3
-
-#: First frame version whose payload region carries out-of-band binary
-#: payloads ("payload codec v2").  Below this, everything inlines to
-#: JSON ("payload codec v1").
-BINARY_PROTOCOL_VERSION = 3
-
-#: Frame versions this build can decode.  Servers answer each request in
-#: the requester's frame version, so a v1 peer keeps working against a
-#: v3 daemon; anything outside this set is rejected with a versioned
-#: error message instead of a decode failure.
-SUPPORTED_PROTOCOLS = frozenset({1, 2, 3})
 
 #: Header layout: magic, version, payload byte length.
 _HEADER = struct.Struct(">4sHI")
 
-#: Version-3 sub-header: byte length of the JSON part of the payload.
+#: Sub-header: byte length of the JSON part of the payload region.
 _JSON_LEN = struct.Struct(">I")
 
 #: Hard ceiling on one frame's payload — a corrupt or hostile length
@@ -132,39 +112,11 @@ _RETAIN_BUFFER_BYTES = 8 * 1024 * 1024
 _MAX_IOV = 64
 
 
-def preferred_version() -> int:
-    """The frame version this process should announce.
-
-    ``REPRO_PROTOCOL_VERSION`` caps it (the ``--protocol-version`` CLI
-    flags set the same cap explicitly) — the escape hatch for wire
-    captures, debugging with text-only tooling, or suspected codec
-    bugs.  Negotiation still takes ``min(ours, theirs)``, so a cap can
-    only ever lower the version actually spoken.
-    """
-    text = os.environ.get("REPRO_PROTOCOL_VERSION", "").strip()
-    if not text:
-        return PROTOCOL_VERSION
-    try:
-        version = int(text)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_PROTOCOL_VERSION must be an integer, got {text!r}"
-        ) from None
-    if version not in SUPPORTED_PROTOCOLS:
-        supported = "/".join(str(v) for v in sorted(SUPPORTED_PROTOCOLS))
-        raise ConfigurationError(
-            f"REPRO_PROTOCOL_VERSION={version} is not a supported "
-            f"protocol version (this build speaks {supported})"
-        )
-    return version
-
-
 def version_mismatch_error(version: int) -> str:
     """The one clear sentence both sides use for an unsupported version."""
-    supported = "/".join(str(v) for v in sorted(SUPPORTED_PROTOCOLS))
     return (
         f"unsupported protocol version {version} "
-        f"(this build speaks {supported})"
+        f"(this build speaks {PROTOCOL_VERSION})"
     )
 
 
@@ -183,28 +135,13 @@ def _as_byte_view(buffer) -> memoryview:
     return view.cast("B")
 
 
-def encode_frame_buffers(
-    message: dict, version: int = PROTOCOL_VERSION
-) -> List:
+def encode_frame_buffers(message: dict) -> List:
     """Serialise one message to a list of wire buffers (zero-copy).
 
     The first buffer is the frame header plus the JSON part; binary
     payloads follow as views over the caller's arrays, ready for a
-    vectored send.  For frame versions that predate the binary codec
-    the message is transparently inlined to its JSON-only shape first,
-    so callers build messages one way and interoperate with every
-    supported peer version.
+    vectored send.
     """
-    if version < BINARY_PROTOCOL_VERSION:
-        body = json.dumps(
-            inline_message(message), separators=(",", ":")
-        ).encode("utf-8")
-        if len(body) > MAX_FRAME_BYTES:
-            raise ProtocolError(
-                f"frame payload of {len(body)} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte protocol limit"
-            )
-        return [_HEADER.pack(MAGIC, version, len(body)) + body]
     descriptors = message.get(PAYLOADS_KEY) or []
     binary = message.get(BINARY_KEY) or {}
     views = []
@@ -236,35 +173,33 @@ def encode_frame_buffers(
             f"{MAX_FRAME_BYTES}-byte protocol limit"
         )
     prefix = (
-        _HEADER.pack(MAGIC, version, total)
+        _HEADER.pack(MAGIC, PROTOCOL_VERSION, total)
         + _JSON_LEN.pack(len(body))
         + body
     )
     return [prefix, *views]
 
 
-def encode_frame(message: dict, version: int = PROTOCOL_VERSION) -> bytes:
+def encode_frame(message: dict) -> bytes:
     """Serialise one message to contiguous framed wire bytes.
 
     The copying convenience over :func:`encode_frame_buffers` — tests
     and benchmarks use it; the hot paths send the buffer list directly.
     """
-    buffers = encode_frame_buffers(message, version=version)
+    buffers = encode_frame_buffers(message)
     if len(buffers) == 1:
         return bytes(buffers[0])
     return b"".join(bytes(b) for b in buffers)
 
 
-def send_message(
-    sock, message: dict, version: int = PROTOCOL_VERSION
-) -> int:
+def send_message(sock, message: dict) -> int:
     """Frame and send one message; returns the bytes put on the wire.
 
     Uses ``sendmsg`` (vectored write) where available so binary
     payloads go from the caller's arrays to the kernel without an
     intermediate join/copy.
     """
-    buffers = encode_frame_buffers(message, version=version)
+    buffers = encode_frame_buffers(message)
     views = [_as_byte_view(b) for b in buffers]
     total = sum(v.nbytes for v in views)
     if not hasattr(sock, "sendmsg"):
@@ -412,10 +347,10 @@ class FrameReceiver:
 
         Returns ``None`` on clean end-of-stream, else
         ``(version, message)`` where ``message`` is ``None`` when the
-        frame's version is outside :data:`SUPPORTED_PROTOCOLS` — the
-        payload bytes are drained but not decoded, so a server can
-        answer with a versioned error instead of a decode failure and
-        keep the connection state sane.
+        frame's version is not :data:`PROTOCOL_VERSION` — the payload
+        bytes are drained but not decoded, so a server can answer with
+        a versioned error instead of a decode failure and keep the
+        connection state sane.
         """
         header = memoryview(self._header)
         if not self._fill(sock, header, eof_ok=True):
@@ -430,26 +365,18 @@ class FrameReceiver:
                 f"frame of {length} bytes exceeds the protocol limit"
             )
         self.last_frame_bytes = _HEADER.size + length
-        if version not in SUPPORTED_PROTOCOLS:
-            # The length field covers the whole payload region in every
-            # version (including future ones that keep the header), so
-            # draining it leaves the stream aligned for the error reply.
+        if version != PROTOCOL_VERSION:
+            # The length field covers the whole payload region whatever
+            # the version, so draining it leaves the stream aligned for
+            # the error reply.
             self._drain(sock, length)
             return version, None
         view = self._frame_buffer(length)
         if length:
             self._fill(sock, view)
-        if version < BINARY_PROTOCOL_VERSION:
-            message = _decode_json(view)
-            if PAYLOADS_KEY in message:
-                raise ProtocolError(
-                    f"frame version {version} must not declare "
-                    f"{PAYLOADS_KEY!r}"
-                )
-            return version, message
-        return version, self._decode_extended(view)
+        return version, self._decode(view)
 
-    def _decode_extended(self, view: memoryview) -> dict:
+    def _decode(self, view: memoryview) -> dict:
         if view.nbytes < _JSON_LEN.size:
             raise ProtocolError("truncated frame: missing JSON length")
         (json_len,) = _JSON_LEN.unpack_from(view, 0)
@@ -513,85 +440,78 @@ def recv_message(sock) -> Optional[dict]:
 
 
 # ----------------------------------------------------------------------
-# Binary payload attachment
+# Payload attachment and extraction
 # ----------------------------------------------------------------------
 
 
-def _attach(message: dict, descriptor: dict, buffer) -> None:
+def _attach(message: dict, name: str, dtype: str, buffer) -> None:
     payloads = message.setdefault(PAYLOADS_KEY, [])
     binary = message.setdefault(BINARY_KEY, {})
-    name = descriptor["name"]
     if name in binary:
         raise ServiceError(f"payload {name!r} attached twice")
-    payloads.append(descriptor)
+    payloads.append(
+        {
+            "name": name,
+            "dtype": dtype,
+            "shape": list(buffer.shape),
+            "nbytes": int(buffer.nbytes),
+        }
+    )
     binary[name] = buffer
 
 
-def attach_vectors(message: dict, vectors: np.ndarray) -> dict:
-    """Attach a packed uint64 matrix under the root ``dim``/``vec`` keys.
+def _payload(message: dict, name: str, dtype: str, ndim: int = 1):
+    """The received payload ``name``, checked against what its
+    ``attach_*`` twin writes: present, ``dtype``, ``ndim`` dimensions."""
+    buffer = (message.get(BINARY_KEY) or {}).get(name)
+    if buffer is None:
+        raise ProtocolError(f"message carries no {name!r} payload")
+    if dtype == "B":
+        # The decoder leaves byte payloads as memoryviews.
+        matches = isinstance(buffer, memoryview)
+    else:
+        matches = (
+            isinstance(buffer, np.ndarray)
+            and buffer.dtype == np.dtype(dtype)
+            and buffer.ndim == ndim
+        )
+    if not matches:
+        raise ProtocolError(
+            f"payload {name!r} must be a {ndim}-d {dtype!r} array"
+        )
+    return buffer
 
-    Inlines to the exact :func:`vectors_to_wire` shape for pre-binary
-    peers.
-    """
+
+def attach_vectors(message: dict, vectors: np.ndarray) -> dict:
+    """Attach a packed uint64 matrix as ``vec``, its width as ``dim``."""
     vectors = np.ascontiguousarray(vectors, dtype="<u8")
     if vectors.ndim != 2:
         raise ServiceError("query vectors must be a (n, words) matrix")
     message["dim"] = int(vectors.shape[1] * 64)
-    _attach(
-        message,
-        {
-            "name": "vec",
-            "kind": "vectors",
-            "dtype": "<u8",
-            "shape": [int(vectors.shape[0]), int(vectors.shape[1])],
-            "nbytes": int(vectors.nbytes),
-        },
-        vectors,
-    )
+    _attach(message, "vec", "<u8", vectors)
     return message
 
 
 def extract_vectors(message: dict) -> np.ndarray:
-    """The packed uint64 matrix of a message, either wire form."""
-    binary = message.get(BINARY_KEY)
-    if binary is not None and "vec" in binary:
-        vectors = binary["vec"]
-        if not isinstance(vectors, np.ndarray) or vectors.ndim != 2:
-            raise ProtocolError("vector payload must be a 2-d matrix")
-        words = int(message.get("dim", vectors.shape[1] * 64)) // 64
-        if words < 1 or vectors.shape[1] != words:
-            raise ServiceError("vector payload length does not match dim")
-        return vectors
-    return vectors_from_wire(message)
+    """The packed uint64 matrix of a message (a receive-buffer view)."""
+    vectors = _payload(message, "vec", "<u8", ndim=2)
+    dim = message.get("dim")
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ProtocolError(f"vector 'dim' must be an integer, got {dim!r}")
+    if dim < 64 or vectors.shape[1] * 64 != dim:
+        raise ServiceError("vector payload length does not match dim")
+    return vectors
 
 
 def attach_chunk(message: dict, data, field: str = "data") -> dict:
     """Attach raw bytes (a generation file chunk) under ``field``."""
-    view = _as_byte_view(data)
-    _attach(
-        message,
-        {
-            "name": field,
-            "kind": "bytes",
-            "dtype": "B",
-            "shape": [view.nbytes],
-            "nbytes": view.nbytes,
-        },
-        view,
-    )
+    _attach(message, field, "B", _as_byte_view(data))
     return message
 
 
-def extract_chunk(message: dict, field: str = "data"):
-    """The raw bytes of ``field`` — a zero-copy memoryview under the
-    binary codec, decoded base64 bytes under codec v1."""
-    binary = message.get(BINARY_KEY)
-    if binary is not None and field in binary:
-        chunk = binary[field]
-        if not isinstance(chunk, memoryview):
-            raise ProtocolError(f"payload {field!r} must be raw bytes")
-        return chunk
-    return bytes_from_wire(message.get(field, ""))
+def extract_chunk(message: dict, field: str = "data") -> memoryview:
+    """The raw bytes of ``field``: a zero-copy view of the receive buffer."""
+    return _payload(message, field, "B")
 
 
 def attach_spectra(
@@ -599,10 +519,9 @@ def attach_spectra(
 ) -> dict:
     """Attach a spectrum batch: JSON header records + binary peak arrays.
 
-    Header records are the WAL's spectrum records minus the ``mz`` /
-    ``it`` float lists, which ride as two concatenated float64 payloads
-    plus a per-spectrum peak-count payload.  Inlining re-adds the float
-    lists, reproducing :func:`spectra_to_wire` exactly.
+    ``message[field]`` gets one ``{id, pm, ch[, rt][, meta]}`` record
+    per spectrum; the peaks ride as two concatenated float64 payloads
+    plus a per-spectrum peak-count payload.
     """
     records = []
     counts = np.empty(len(spectra), dtype="<i8")
@@ -629,46 +548,24 @@ def attach_spectra(
         mz = np.empty(0, dtype="<f8")
         intensity = np.empty(0, dtype="<f8")
     message[field] = records
-    for suffix, dtype, array in (
-        ("n", "<i8", counts),
-        ("mz", "<f8", mz),
-        ("it", "<f8", intensity),
-    ):
-        _attach(
-            message,
-            {
-                "name": f"{field}.{suffix}",
-                "kind": "spectra",
-                "field": field,
-                "dtype": dtype,
-                "shape": [int(array.shape[0])],
-                "nbytes": int(array.nbytes),
-            },
-            array,
-        )
+    _attach(message, f"{field}.n", "<i8", counts)
+    _attach(message, f"{field}.mz", "<f8", mz)
+    _attach(message, f"{field}.it", "<f8", intensity)
     return message
 
 
 def extract_spectra(
     message: dict, field: str = "spectra"
 ) -> List[MassSpectrum]:
-    """The spectrum batch of ``field``, either wire form.
+    """The spectrum batch of ``field``.
 
-    Under the binary codec the peak arrays are zero-copy float64 views
-    into the receive buffer (sliced per spectrum).
+    The peak arrays are zero-copy float64 views into the receive buffer
+    (sliced per spectrum).
     """
-    binary = message.get(BINARY_KEY)
-    if binary is None or f"{field}.n" not in binary:
-        records = message.get(field, [])
-        if not isinstance(records, list):
-            raise ServiceError(f"malformed spectrum batch in {field!r}")
-        return spectra_from_wire(records)
+    counts = _payload(message, f"{field}.n", "<i8")
+    mz = _payload(message, f"{field}.mz", "<f8")
+    intensity = _payload(message, f"{field}.it", "<f8")
     records = message.get(field)
-    counts = binary.get(f"{field}.n")
-    mz = binary.get(f"{field}.mz")
-    intensity = binary.get(f"{field}.it")
-    if mz is None or intensity is None:
-        raise ProtocolError(f"incomplete spectrum payloads for {field!r}")
     if not isinstance(records, list) or len(records) != counts.shape[0]:
         raise ProtocolError(
             f"spectrum payload count mismatch in {field!r}"
@@ -701,6 +598,17 @@ def extract_spectra(
     return spectra
 
 
+#: ``(suffix, dtype, ndim)`` of the five ``matches`` payloads, in
+#: :meth:`MatchTable.wire_columns` order.
+_MATCH_PAYLOADS = (
+    ("n", "<i8", 1),
+    ("i", "<i8", 2),
+    ("f", "<f8", 2),
+    ("idn", "<i8", 1),
+    ("id", "B", 1),
+)
+
+
 def attach_matches(
     message: dict,
     results: Union[MatchTable, Sequence[Sequence[ClusterMatch]]],
@@ -708,54 +616,27 @@ def attach_matches(
 ) -> dict:
     """Attach a query answer's columns as binary payloads (no loop).
 
-    A plain list of match lists is accepted and tabulated first.  Codec
-    v1 inlines the columns back to the daemon's historical
-    ``asdict(match)`` row dicts, field for field.
+    A plain list of match lists is accepted and tabulated first.
     """
     if not isinstance(results, MatchTable):
         results = MatchTable.from_rows(results)
-    for suffix, dtype, column in zip(
-        ("n", "i", "f", "idn", "id"),
-        ("<i8", "<i8", "<f8", "<i8", "B"),
-        results.wire_columns(),
+    for (suffix, dtype, _ndim), column in zip(
+        _MATCH_PAYLOADS, results.wire_columns()
     ):
-        _attach(
-            message,
-            {
-                "name": f"{field}.{suffix}",
-                "kind": "matches",
-                "field": field,
-                "dtype": dtype,
-                "shape": list(column.shape),
-                "nbytes": int(column.nbytes),
-            },
-            column,
-        )
+        _attach(message, f"{field}.{suffix}", dtype, column)
     return message
 
 
-def _match_columns(binary: dict, field: str):
+def _match_columns(message: dict, field: str):
     """The validated ``matches`` payload columns of ``field``."""
-    counts = binary[f"{field}.n"]
-    try:
-        ints = binary[f"{field}.i"]
-        floats = binary[f"{field}.f"]
-        id_lengths = binary[f"{field}.idn"]
-        id_bytes = np.frombuffer(binary[f"{field}.id"], dtype=np.uint8)
-    except KeyError as exc:
-        raise ProtocolError(
-            f"incomplete match payloads for {field!r}"
-        ) from exc
-    if not all(
-        isinstance(column, np.ndarray)
-        for column in (counts, ints, floats, id_lengths)
-    ):
-        raise ProtocolError(f"match payload dtypes disagree in {field!r}")
+    counts, ints, floats, id_lengths, id_view = (
+        _payload(message, f"{field}.{suffix}", dtype, ndim)
+        for suffix, dtype, ndim in _MATCH_PAYLOADS
+    )
+    id_bytes = np.frombuffer(id_view, dtype=np.uint8)
     flat = ints.shape[0]
     if (
-        ints.ndim != 2
-        or ints.shape[1] != len(INT_FIELDS)
-        or floats.ndim != 2
+        ints.shape[1] != len(INT_FIELDS)
         or floats.shape != (flat, len(FLOAT_FIELDS))
         or id_lengths.shape[0] != flat
     ):
@@ -788,164 +669,12 @@ def _match_columns(binary: dict, field: str):
 
 
 def extract_matches(message: dict, field: str = "results") -> MatchTable:
-    """The query answer of ``field`` as a table, either wire form.
+    """The query answer of ``field`` as a table.
 
     The table owns its memory — the columns are copied out of the
     connection's receive buffer — so unlike the other ``extract_*``
     views it stays valid across later receives.
     """
-    binary = message.get(BINARY_KEY)
-    if binary is None or f"{field}.n" not in binary:
-        try:
-            return MatchTable.from_records(message[field])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ServiceError(f"malformed match results: {exc}") from exc
     return MatchTable.from_columns(
-        *(np.array(column) for column in _match_columns(binary, field))
+        *(np.array(column) for column in _match_columns(message, field))
     )
-
-
-def detach_binary(message: dict) -> dict:
-    """Materialise a received message's binary views into owned memory.
-
-    For the rare holder that must keep a decoded message alive past the
-    connection's next receive (the view-lifetime contract).
-    """
-    binary = message.get(BINARY_KEY)
-    if not binary:
-        return message
-    owned = {}
-    for name, buffer in binary.items():
-        if isinstance(buffer, np.ndarray):
-            owned[name] = np.array(buffer)
-        else:
-            owned[name] = bytes(buffer)
-    message[BINARY_KEY] = owned
-    return message
-
-
-# ----------------------------------------------------------------------
-# Inlining (payload codec v1)
-# ----------------------------------------------------------------------
-
-
-def inline_message(message: dict) -> dict:
-    """A codec-v1 (pure JSON) copy of a message with attached payloads.
-
-    Non-mutating: callers can retry the same message at a different
-    negotiated version.  Each payload inlines to the exact JSON shape
-    version-1 peers always used, so the bytes a legacy peer sees are
-    indistinguishable from a legacy sender's.
-    """
-    descriptors = message.get(PAYLOADS_KEY)
-    if not descriptors:
-        if BINARY_KEY in message or PAYLOADS_KEY in message:
-            return {
-                k: v
-                for k, v in message.items()
-                if k not in (PAYLOADS_KEY, BINARY_KEY)
-            }
-        return message
-    binary = message.get(BINARY_KEY) or {}
-    result = {
-        k: v
-        for k, v in message.items()
-        if k not in (PAYLOADS_KEY, BINARY_KEY)
-    }
-    done = set()
-    for descriptor in descriptors:
-        kind = descriptor.get("kind")
-        field = descriptor.get("field", descriptor["name"])
-        if (kind, field) in done:
-            continue
-        done.add((kind, field))
-        if kind == "vectors":
-            vectors = binary["vec"]
-            result["vec"] = base64.b64encode(
-                np.ascontiguousarray(vectors, dtype="<u8").tobytes()
-            ).decode("ascii")
-        elif kind == "bytes":
-            result[field] = base64.b64encode(binary[field]).decode(
-                "ascii"
-            )
-        elif kind == "spectra":
-            counts = binary[f"{field}.n"].tolist()
-            mz = binary[f"{field}.mz"]
-            intensity = binary[f"{field}.it"]
-            records = []
-            offset = 0
-            for record, count in zip(result[field], counts):
-                inlined = {
-                    "id": record["id"],
-                    "pm": record["pm"],
-                    "ch": record["ch"],
-                    "mz": mz[offset : offset + count].tolist(),
-                    "it": intensity[offset : offset + count].tolist(),
-                }
-                if "rt" in record:
-                    inlined["rt"] = record["rt"]
-                if "meta" in record:
-                    inlined["meta"] = record["meta"]
-                records.append(inlined)
-                offset += count
-            result[field] = records
-        elif kind == "matches":
-            result[field] = MatchTable.from_columns(
-                *_match_columns(binary, field)
-            ).to_records()
-        else:
-            raise ServiceError(
-                f"cannot inline payload kind {kind!r} for a legacy peer"
-            )
-    return result
-
-
-# ----------------------------------------------------------------------
-# Payload codecs (codec v1 — pure JSON)
-# ----------------------------------------------------------------------
-
-
-def spectra_to_wire(spectra: Sequence[MassSpectrum]) -> List[dict]:
-    """Spectra → WAL-format JSON records (bit-exact float round-trip)."""
-    return [_spectrum_to_json(spectrum) for spectrum in spectra]
-
-
-def spectra_from_wire(records: Sequence[dict]) -> List[MassSpectrum]:
-    """WAL-format JSON records → spectra."""
-    return [_spectrum_from_json(record) for record in records]
-
-
-def vectors_to_wire(vectors: np.ndarray) -> dict:
-    """Packed uint64 matrix → ``{"dim", "vec"}`` (little-endian base64)."""
-    vectors = np.ascontiguousarray(vectors, dtype="<u8")
-    if vectors.ndim != 2:
-        raise ServiceError("query vectors must be a (n, words) matrix")
-    return {
-        "dim": int(vectors.shape[1] * 64),
-        "vec": base64.b64encode(vectors.tobytes()).decode("ascii"),
-    }
-
-
-def vectors_from_wire(payload: dict) -> np.ndarray:
-    """Inverse of :func:`vectors_to_wire`."""
-    try:
-        words = int(payload["dim"]) // 64
-        raw = base64.b64decode(payload["vec"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ServiceError(f"malformed vector payload: {exc}") from exc
-    if words < 1 or len(raw) % (8 * words):
-        raise ServiceError("vector payload length does not match dim")
-    return np.frombuffer(raw, dtype="<u8").reshape(-1, words).astype(np.uint64)
-
-
-def bytes_to_wire(data: bytes) -> str:
-    """Raw bytes → base64 text (generation file chunks)."""
-    return base64.b64encode(data).decode("ascii")
-
-
-def bytes_from_wire(text: str) -> bytes:
-    """Inverse of :func:`bytes_to_wire`."""
-    try:
-        return base64.b64decode(text, validate=True)
-    except (TypeError, ValueError) as exc:
-        raise ServiceError(f"malformed chunk payload: {exc}") from exc

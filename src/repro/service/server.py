@@ -1,25 +1,22 @@
 """The socket front shared by the cluster daemon and the fleet router.
 
 :class:`RequestServer` owns exactly the transport concerns — listening,
-per-connection threads, framing, the ``hello`` version handshake, and
+per-connection threads, framing, the ``hello`` version gate, and
 the ``shutdown`` op's stop callback — and delegates every other request
 to a ``handle(request) -> response`` callable.  Both
 :class:`~repro.service.ClusterService` and
 :class:`~repro.fleet.RouterDaemon` are that callable plus a request
 vocabulary; neither reimplements the wire.
 
-Version negotiation lives here so every server answers it uniformly:
+The version gate lives here so every server applies it uniformly:
 
-* each response is framed at the *requester's* frame version, so a v1
-  client keeps working against a v3 server unchanged (binary payloads
-  are inlined back to JSON by the encoder for pre-v3 peers);
-* a frame whose version this build cannot decode is answered with a
-  clear ``unsupported protocol version N`` error (framed at our best
-  version) and the connection is closed — never a decode failure;
-* ``hello`` requests announce the peer's preferred version and are
-  answered with ours; both sides then speak ``min(theirs, ours)``.
-  Passing ``protocol_version`` caps what this server announces — the
-  operational lever behind ``--protocol-version 1``.
+* a frame whose version is not
+  :data:`~repro.service.protocol.PROTOCOL_VERSION` is drained, answered
+  with the clear ``unsupported protocol version N`` error and the
+  connection is closed — never a decode failure;
+* ``hello`` requests announce the peer's version and are answered
+  ``ok`` (with ours) only when the two are equal, so a client learns of
+  a mismatch at connect time rather than on its first real request.
 
 Each connection holds one :class:`~repro.service.protocol.FrameReceiver`
 so receive buffers are reused across requests, and every frame's wire
@@ -119,11 +116,6 @@ class RequestServer:
         when a client sends the ``shutdown`` op.
     name:
         Thread-name prefix and the ``server`` field of hello responses.
-    protocol_version:
-        The frame version announced to ``hello`` requests (default:
-        :func:`~repro.service.protocol.preferred_version`).  Capping it
-        at 1 forces every negotiating peer onto the JSON codec without
-        disabling decode support for newer frames.
     transport:
         Optional shared :class:`TransportMetrics`; one is created when
         omitted (read :attr:`transport`).
@@ -136,21 +128,13 @@ class RequestServer:
         handle: Callable[[dict], dict],
         on_shutdown: Optional[Callable[[], None]] = None,
         name: str = "repro",
-        protocol_version: Optional[int] = None,
         transport: Optional[TransportMetrics] = None,
     ) -> None:
-        if protocol_version is None:
-            protocol_version = protocol.preferred_version()
-        if protocol_version not in protocol.SUPPORTED_PROTOCOLS:
-            raise ServiceError(
-                protocol.version_mismatch_error(protocol_version)
-            )
         self._host = host
         self._requested_port = port
         self._handle = handle
         self._on_shutdown = on_shutdown
         self._name = name
-        self.protocol_version = protocol_version
         self.transport = transport if transport is not None else (
             TransportMetrics()
         )
@@ -234,10 +218,9 @@ class RequestServer:
                     return  # clean client disconnect
                 version, request = frame
                 if request is None:
-                    # A frame version this build cannot decode: answer
-                    # with the versioned sentence (framed at our best —
-                    # the header layout is fixed across versions, so any
-                    # peer can at least read the error) and hang up.
+                    # Not our frame version: answer with the versioned
+                    # sentence (the header layout is fixed, so any peer
+                    # can at least skip to it) and hang up.
                     try:
                         protocol.send_message(
                             connection,
@@ -251,14 +234,9 @@ class RequestServer:
                     except OSError:
                         pass
                     return
-                response = self._respond(version, request)
+                response = self._respond(request)
                 try:
-                    # Answer in the requester's frame version: a v1 peer
-                    # must be able to decode what it gets back (binary
-                    # payloads inline to JSON below version 3).
-                    sent = protocol.send_message(
-                        connection, response, version=version
-                    )
+                    sent = protocol.send_message(connection, response)
                 except OSError:
                     return
                 self.transport.record(
@@ -276,26 +254,25 @@ class RequestServer:
                         ).start()
                     return
 
-    def _respond(self, version: int, request: dict) -> dict:
+    def _respond(self, request: dict) -> dict:
         if request.get("op") == "hello":
-            announced = request.get("protocol", version)
             try:
-                announced = int(announced)
+                announced = int(
+                    request.get("protocol", protocol.PROTOCOL_VERSION)
+                )
             except (TypeError, ValueError):
                 return {
                     "status": "error",
                     "error": "hello 'protocol' must be an integer",
                 }
-            if min(announced, self.protocol_version) not in (
-                protocol.SUPPORTED_PROTOCOLS
-            ):
+            if announced != protocol.PROTOCOL_VERSION:
                 return {
                     "status": "error",
                     "error": protocol.version_mismatch_error(announced),
                 }
             return {
                 "status": "ok",
-                "protocol": self.protocol_version,
+                "protocol": protocol.PROTOCOL_VERSION,
                 "server": f"{self._name}/{__version__}",
             }
         return self._handle(request)

@@ -166,24 +166,6 @@ class MatchTable(SequenceABC):
         )
 
     @classmethod
-    def from_records(cls, rows: Sequence[Sequence[dict]]) -> "MatchTable":
-        """A table from the codec-v1 JSON row dicts (see :meth:`to_records`).
-
-        Raises ``KeyError`` / ``TypeError`` / ``ValueError`` /
-        ``OverflowError`` on a malformed record.
-        """
-        flat = [record for row in rows for record in row]
-        fields = {n: [int(record[n]) for record in flat] for n in INT_FIELDS}
-        fields.update(
-            {n: [float(record[n]) for record in flat] for n in FLOAT_FIELDS}
-        )
-        return cls.from_fields(
-            [len(row) for row in rows],
-            [record["medoid_identifier"] for record in flat],
-            **fields,
-        )
-
-    @classmethod
     def empty(cls, rows: int) -> "MatchTable":
         """``rows`` rows without a single match."""
         return cls.from_fields(
@@ -263,33 +245,6 @@ class MatchTable(SequenceABC):
             np.ascontiguousarray(self.id_lengths, dtype="<i8"),
             packed,
         )
-
-    def to_records(self) -> List[List[dict]]:
-        """The codec-v1 JSON form: ``asdict(match)`` row dicts, field for
-        field, built straight from the columns."""
-        ints = self.ints.tolist()
-        floats = self.floats.tolist()
-        identifiers = self._identifiers(0, len(ints))
-        offsets = self._row_offsets().tolist()
-        records = [
-            {
-                "global_label": gl,
-                "shard_id": sh,
-                "local_label": ll,
-                "distance": di,
-                "normalized_distance": nd,
-                "cluster_size": cs,
-                "medoid_identifier": identifier,
-                "medoid_precursor_mz": mz,
-                "medoid_charge": mc,
-            }
-            for (gl, sh, ll, di, cs, mc), (nd, mz), identifier in zip(
-                ints, floats, identifiers
-            )
-        ]
-        return [
-            records[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])
-        ]
 
     # ------------------------------------------------------------------
     # The Sequence-of-rows view

@@ -207,3 +207,31 @@ class TestPush:
             with ServiceClient(port=service.port, retry=NO_RETRY) as client:
                 with pytest.raises(ServiceBusy, match="pending local WAL"):
                     Replicator().push(populated_repo, client)
+
+
+class TestHeal:
+    def test_heal_refetches_identical_bytes_over_binary_frames(
+        self, tmp_path, populated_repo
+    ):
+        import shutil
+
+        from repro.store.repository import SEGMENTS_DIR
+
+        replica = tmp_path / "replica"
+        shutil.copytree(populated_repo, replica)
+        files = list_generation_files(replica, 1)
+        victim = max(files, key=lambda entry: entry.size)
+        member = replica / SEGMENTS_DIR / f"gen-{1:06d}" / victim.name
+        expected = file_digest(member)
+        corrupt = bytearray(member.read_bytes())
+        corrupt[len(corrupt) // 2] ^= 0xFF
+        member.write_bytes(bytes(corrupt))
+        assert file_digest(member) != expected
+        with make_node_service(populated_repo) as source:
+            source.start()
+            with ServiceClient(port=source.port) as client:
+                healed = Replicator(chunk_bytes=2048).heal(
+                    client, replica, 1, [victim.name]
+                )
+        assert healed == [victim.name]
+        assert file_digest(member) == expected

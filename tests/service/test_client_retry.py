@@ -6,14 +6,17 @@ The contract under test (see :mod:`repro.service.client`):
 * transport failures retry on a fresh connection **only for idempotent
   ops** — a lost ``ingest`` response must never re-send;
 * protocol ``error`` responses never retry;
-* version negotiation happens in a v1 frame, falls back to v1 against a
-  pre-handshake server, and rejects undecodable frame versions with the
-  protocol's clear sentence rather than a decode failure.
+* there is one protocol version: ``hello`` fails the connect unless the
+  server answers with it, a frame of any other version is refused with
+  the protocol's clear sentence rather than a decode failure, and
+  neither is ever retried.
 """
 
 from __future__ import annotations
 
+import json
 import socket
+import struct
 import threading
 import time
 
@@ -31,6 +34,15 @@ from repro.service import protocol
 
 
 FAST_RETRY = RetryPolicy(attempts=3, backoff=0.001, max_backoff=0.01)
+
+_HEADER = struct.Struct(">4sHI")
+
+
+def foreign_frame(message: dict, version: int) -> bytes:
+    """``message`` framed by hand under another version number: the bare
+    JSON body versions 1 and 2 carried (later ones are never decoded)."""
+    body = json.dumps(message).encode("utf-8")
+    return _HEADER.pack(protocol.MAGIC, version, len(body)) + body
 
 
 class ScriptedServer:
@@ -87,16 +99,14 @@ class ScriptedServer:
             frame = protocol.recv_frame(connection)
             if frame is None:
                 return
-            version, request = frame
+            _version, request = frame
             if request is None:
                 return
             if request.get("op") == "hello":
                 self.hello_count += 1
                 if self.hello_response == "drop":
                     return
-                protocol.send_message(
-                    connection, self.hello_response, version=version
-                )
+                protocol.send_message(connection, self.hello_response)
                 continue
             self.requests.append(request)
             if not self.script:
@@ -107,15 +117,10 @@ class ScriptedServer:
             if isinstance(action, (int, float)):
                 time.sleep(action)
                 action = {"status": "ok"}
-            protocol.send_message(
-                connection,
-                action,
-                version=(
-                    self.frame_version
-                    if self.frame_version is not None
-                    else version
-                ),
-            )
+            if self.frame_version is not None:
+                connection.sendall(foreign_frame(action, self.frame_version))
+            else:
+                protocol.send_message(connection, action)
 
     def close(self):
         try:
@@ -210,26 +215,34 @@ class TestTimeouts:
 
 
 class TestVersionNegotiation:
-    def test_hello_negotiates_the_minimum(self, scripted):
-        server = scripted([], hello_response={"status": "ok", "protocol": 99})
-        with ServiceClient(port=server.port) as client:
-            # min(theirs=99, ours) is ours — whatever this process
-            # prefers (REPRO_PROTOCOL_VERSION caps it in the forced-v1
-            # CI leg).
-            assert client.protocol_version == protocol.preferred_version()
-
-    def test_explicit_cap_wins_negotiation(self, scripted):
+    @pytest.mark.parametrize("theirs", [2, 99])
+    def test_hello_answered_with_another_version_fails_the_connect(
+        self, scripted, theirs
+    ):
         server = scripted(
-            [],
-            hello_response={
-                "status": "ok",
-                "protocol": protocol.PROTOCOL_VERSION,
-            },
+            [], hello_response={"status": "ok", "protocol": theirs}
         )
-        with ServiceClient(port=server.port, protocol_version=1) as client:
-            assert client.protocol_version == 1
+        with pytest.raises(
+            ServiceError,
+            match=f"unsupported protocol version {theirs} "
+            r"\(this build speaks 3\)",
+        ):
+            ServiceClient(port=server.port)
 
-    def test_legacy_server_without_hello_falls_back_to_v1(self, scripted):
+    def test_version_refusal_on_reconnect_is_not_retried(self, scripted):
+        server = scripted(["drop", {"status": "ok", "generation": 7}])
+        with ServiceClient(port=server.port, retry=FAST_RETRY) as client:
+            # The node is "upgraded" between the drop and the reconnect.
+            server.hello_response = {"status": "ok", "protocol": 2}
+            with pytest.raises(
+                ServiceError, match="unsupported protocol version 2"
+            ):
+                client.ping()
+        # connect + one reconnect: the refusal ended the retry loop.
+        assert server.hello_count == 2
+        assert len(server.requests) == 1
+
+    def test_server_without_hello_is_an_error_not_a_fallback(self, scripted):
         server = scripted(
             [{"status": "ok", "generation": 3}],
             hello_response={
@@ -237,9 +250,9 @@ class TestVersionNegotiation:
                 "error": "unknown op 'hello'",
             },
         )
-        with ServiceClient(port=server.port, retry=NO_RETRY) as client:
-            assert client.protocol_version == 1
-            assert client.ping() == 3
+        with pytest.raises(ServiceError, match="unknown op 'hello'"):
+            ServiceClient(port=server.port, retry=NO_RETRY)
+        assert server.requests == []
 
     def test_drop_during_hello_is_a_clear_negotiation_error(
         self, scripted
@@ -260,47 +273,37 @@ class TestVersionNegotiation:
             ):
                 client.ping()
 
-    def test_request_server_rejects_future_frames_with_versioned_error(
-        self,
+    @pytest.mark.parametrize(
+        "version, request_",
+        [
+            (1, {"op": "hello", "protocol": 3}),  # an old client's hello
+            (1, {"op": "ping"}),
+            (2, {"op": "ping"}),
+            (9, {"op": "ping"}),
+        ],
+        ids=["v1-hello", "v1-ping", "v2-ping", "v9-ping"],
+    )
+    def test_request_server_refuses_other_frame_versions(
+        self, version, request_
     ):
         server = RequestServer(
             "127.0.0.1", 0, handle=lambda request: {"status": "ok"}
         )
         port = server.start()
         try:
-            with socket.create_connection(("127.0.0.1", port)) as sock:
-                sock.sendall(
-                    protocol.encode_frame({"op": "ping"}, version=9)
-                )
-                response = protocol.recv_frame(sock)
-                assert response is not None
-                _version, message = response
-                assert message["status"] == "error"
-                assert "unsupported protocol version 9" in message["error"]
-                # ...and the server hangs up after the rejection.
-                assert sock.recv(1) == b""
-        finally:
-            server.stop()
-
-    def test_v1_client_still_speaks_to_a_v2_server(self):
-        """A pre-handshake peer: v1 frames, no hello, full round trip."""
-        server = RequestServer(
-            "127.0.0.1",
-            0,
-            handle=lambda request: {"status": "ok", "echo": request["op"]},
-        )
-        port = server.start()
-        try:
-            with socket.create_connection(("127.0.0.1", port)) as sock:
-                sock.sendall(
-                    protocol.encode_frame({"op": "ping"}, version=1)
-                )
-                frame = protocol.recv_frame(sock)
-                assert frame is not None
-                version, message = frame
-                # The server answers in the requester's frame version.
-                assert version == 1
-                assert message == {"status": "ok", "echo": "ping"}
+            with socket.create_connection(("127.0.0.1", port)) as bystander:
+                with socket.create_connection(("127.0.0.1", port)) as sock:
+                    sock.sendall(foreign_frame(request_, version))
+                    assert protocol.recv_message(sock) == {
+                        "status": "error",
+                        "error": f"unsupported protocol version {version} "
+                        "(this build speaks 3)",
+                    }
+                    # ...and the server hangs up after the rejection.
+                    assert sock.recv(1) == b""
+                # A second connection keeps being served throughout.
+                protocol.send_message(bystander, {"op": "ping"})
+                assert protocol.recv_message(bystander) == {"status": "ok"}
         finally:
             server.stop()
 

@@ -1,15 +1,18 @@
-"""The binary payload codec (wire v3): interop, framing defence, metrics.
+"""The wire format: round trips, framing defence, the gate, metrics.
 
-Three bars, matching the codec's design:
+Four bars, matching the protocol's design:
 
-* **Cross-version identity** — every (client version × daemon version)
-  cell of the negotiation matrix returns results identical to a local
-  query over the same state, and the codec-v1 frames a binary-built
-  message inlines to are byte-for-byte what a legacy sender produces;
+* **Round-trip identity** — every payload kind decodes equal to the
+  in-memory original, and remote answers are identical to a local query
+  over the same state;
 * **Adversarial framing** — truncated payload regions, mismatched
-  descriptor sums, bogus dtypes/shapes, reserved-key smuggling and
-  oversized frames raise the typed :class:`ProtocolError` (never a
-  numpy/json internals error) and never take the daemon down;
+  descriptor sums, bogus dtypes/shapes, payloads whose declared dtype
+  or rank is not what the extractor's ``attach_*`` twin writes,
+  reserved-key smuggling and oversized frames raise the typed
+  :class:`ProtocolError` (never a numpy/json internals error) and never
+  take the daemon down;
+* **One version** — a frame of any other version gets the versioned
+  error and a hang-up, while a hand-built version-3 frame still decodes;
 * **Transport accounting** — both sides count wire bytes, and the
   daemon's ``metrics`` op surfaces per-op payload percentiles.
 """
@@ -20,7 +23,6 @@ import json
 import socket
 import struct
 import threading
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -44,10 +46,8 @@ from repro.service.protocol import (
     extract_matches,
     extract_spectra,
     extract_vectors,
-    inline_message,
-    spectra_to_wire,
-    vectors_to_wire,
 )
+from repro.spectrum import MassSpectrum
 from repro.store import ClusterMatch, ClusterRepository, QueryService
 
 
@@ -66,11 +66,11 @@ def queries_of(dataset):
     return dataset.spectra[half : half + 6]
 
 
-def roundtrip(message, version=protocol.PROTOCOL_VERSION):
+def roundtrip(message):
     """Encode → socketpair → decode, like one request would travel."""
     a, b = socket.socketpair()
     try:
-        protocol.send_message(a, message, version=version)
+        protocol.send_message(a, message)
         a.close()
         return FrameReceiver().recv_message(b)
     finally:
@@ -106,6 +106,68 @@ def descriptor(name, dtype="<f8", shape=(4,), nbytes=32, **extra):
     }
     record.update(extra)
     return record
+
+
+def redeclared(message: dict, name: str, **changes) -> dict:
+    """``message`` with payload ``name``'s descriptor edited after
+    attachment: the same bytes under an untrue declaration (the encoder
+    only checks byte counts, like any hostile sender would satisfy)."""
+    for record in message[PAYLOADS_KEY]:
+        if record["name"] == name:
+            record.update(changes)
+    return message
+
+
+def _lies():
+    """``(message, extractor)`` per well-framed message whose payloads
+    are not what the extractor's ``attach_*`` twin writes."""
+    vectors = np.arange(32, dtype=np.uint64).reshape(2, 16)
+    spectrum = MassSpectrum("s", 500.25, 2, [100.0, 200.5], [1.0, 2.0])
+    row = [ClusterMatch(7, 0, 1, 3, 0.1, 2, "ab", 400.5, 2)]
+
+    def query_vectors():
+        return attach_vectors({"op": "query_vectors", "k": 2}, vectors)
+
+    return {
+        "vec-declared-float": (
+            redeclared(query_vectors(), "vec", dtype="<f8"),
+            extract_vectors,
+        ),
+        "vec-declared-flat": (
+            redeclared(query_vectors(), "vec", shape=[32]),
+            extract_vectors,
+        ),
+        "vec-missing": ({"op": "query_vectors", "k": 2}, extract_vectors),
+        "dim-not-an-integer": (
+            {**query_vectors(), "dim": "abc"},
+            extract_vectors,
+        ),
+        "spectra-mz-declared-int": (
+            redeclared(
+                attach_spectra({"op": "query"}, [spectrum]),
+                "spectra.mz",
+                dtype="<i8",
+            ),
+            extract_spectra,
+        ),
+        "spectra-missing": ({"op": "query"}, extract_spectra),
+        "chunk-missing": (
+            {"op": "push_chunk", "generation": 1, "name": "x"},
+            extract_chunk,
+        ),
+        "matches-ints-declared-float": (
+            redeclared(
+                attach_matches({"status": "ok"}, [row]),
+                "results.i",
+                dtype="<f8",
+            ),
+            extract_matches,
+        ),
+        "matches-missing": ({"status": "ok"}, extract_matches),
+    }
+
+
+LIES = _lies()
 
 
 class TestCodecRoundTrip:
@@ -149,56 +211,6 @@ class TestCodecRoundTrip:
         )
         view = received[BINARY_KEY]["vec"]
         assert view.ctypes.data % 8 == 0
-
-
-class TestCodecV1Inlining:
-    """A binary-built message framed at v1 == a legacy sender's bytes."""
-
-    def test_vectors_inline_to_legacy_frame_bytes(self):
-        vectors = np.arange(64, dtype=np.uint64).reshape(4, 16)
-        built = attach_vectors({"op": "query_vectors", "k": 3}, vectors)
-        legacy = {"op": "query_vectors", "k": 3, **vectors_to_wire(vectors)}
-        assert encode_frame(built, version=1) == encode_frame(
-            legacy, version=1
-        )
-
-    def test_spectra_inline_to_legacy_frame_bytes(self, service_dataset):
-        batch = queries_of(service_dataset)
-        built = attach_spectra({"op": "ingest"}, batch)
-        legacy = {"op": "ingest", "spectra": spectra_to_wire(batch)}
-        assert encode_frame(built, version=1) == encode_frame(
-            legacy, version=1
-        )
-
-    def test_matches_inline_to_legacy_row_dicts(
-        self, populated_repo, service_dataset
-    ):
-        with ClusterRepository.open(populated_repo) as repository:
-            vectors = repository.encoder.encode_batch(
-                queries_of(service_dataset)
-            )
-            with QueryService(repository) as local:
-                results = local.query_vectors(vectors, k=3)
-        built = attach_matches({"status": "ok"}, results)
-        legacy = {
-            "status": "ok",
-            "results": [[asdict(m) for m in row] for row in results],
-        }
-        assert encode_frame(built, version=1) == encode_frame(
-            legacy, version=1
-        )
-        # ...and both wire forms decode to the same match objects.
-        assert extract_matches(roundtrip(built, version=1)) == results
-        assert extract_matches(roundtrip(built, version=3)) == results
-
-    def test_inlining_does_not_mutate_the_message(self):
-        vectors = np.ones((2, 16), dtype=np.uint64)
-        built = attach_vectors({"op": "query_vectors"}, vectors)
-        inlined = inline_message(built)
-        assert PAYLOADS_KEY not in inlined and BINARY_KEY not in inlined
-        # The original can still be re-encoded at v3 (retry path).
-        assert PAYLOADS_KEY in built and BINARY_KEY in built
-        assert roundtrip(built, version=3)[BINARY_KEY]["vec"].shape == (2, 16)
 
 
 class TestAdversarialFrames:
@@ -266,14 +278,6 @@ class TestAdversarialFrames:
         with pytest.raises(ProtocolError, match="reserved"):
             deliver(raw)
 
-    def test_v1_frames_must_not_declare_payloads(self):
-        body = json.dumps(
-            {"op": "x", PAYLOADS_KEY: [descriptor("p", nbytes=0, shape=(0,))]}
-        ).encode()
-        raw = _HEADER.pack(MAGIC, 1, len(body)) + body
-        with pytest.raises(ProtocolError, match="must not declare"):
-            deliver(raw)
-
     def test_frame_size_cap_is_a_typed_error(self):
         header = _HEADER.pack(MAGIC, 3, MAX_FRAME_BYTES + 1)
         with pytest.raises(ProtocolError, match="exceeds the protocol"):
@@ -319,8 +323,6 @@ class TestAdversarialFrames:
         message = self._two_matches(id_bytes)
         with pytest.raises(ProtocolError, match=reason):
             extract_matches(roundtrip(message))
-        with pytest.raises(ProtocolError, match=reason):
-            inline_message(message)  # the v1 re-encode of a relayed answer
         # Multi-byte characters cut *between* identifiers are fine.
         fine = self._two_matches("éü".encode("utf-8"))
         assert extract_matches(roundtrip(fine))[0][1].medoid_identifier == "ü"
@@ -330,8 +332,14 @@ class TestAdversarialFrames:
         counts = message[PAYLOADS_KEY][0]
         assert counts["name"] == "results.n"
         counts.update(dtype="B", shape=[8])  # same bytes, not an int column
-        with pytest.raises(ProtocolError, match="dtypes disagree"):
+        with pytest.raises(ProtocolError, match="'results.n' must be"):
             extract_matches(roundtrip(message))
+
+    @pytest.mark.parametrize("case", sorted(LIES))
+    def test_payloads_must_be_what_the_extractor_expects(self, case):
+        message, extract = LIES[case]
+        with pytest.raises(ProtocolError, match="payload|'dim'"):
+            extract(roundtrip(message))
 
     def test_match_counts_must_cover_the_columns(self):
         message = self._two_matches(b"abcd")
@@ -376,56 +384,35 @@ class TestReceiverBuffers:
             b.close()
 
 
-@pytest.mark.parametrize("daemon_version", [1, 3])
-@pytest.mark.parametrize("client_version", [1, 3])
-class TestInteropMatrix:
-    """Every cell of the version matrix is identical to local."""
+class TestRemoteEqualsLocal:
+    """What a client gets over the wire is what a local call returns."""
 
-    def test_query_vectors_identical_across_versions(
-        self, populated_repo, service_dataset, client_version, daemon_version
+    def test_query_vectors_identical_to_local(
+        self, populated_repo, service_dataset
     ):
-        with make_service(
-            populated_repo, protocol_version=daemon_version
-        ) as service:
+        with make_service(populated_repo) as service:
             service.start()
             vectors = service.repository.encoder.encode_batch(
                 queries_of(service_dataset)
             )
             local = service.query_vectors(vectors, k=3)
-            with ServiceClient(
-                port=service.port, protocol_version=client_version
-            ) as client:
-                assert client.protocol_version == min(
-                    client_version, daemon_version
-                )
+            with ServiceClient(port=service.port) as client:
                 assert client.query_vectors(vectors, k=3) == local
 
-    def test_spectrum_query_and_ingest_across_versions(
-        self, populated_repo, service_dataset, client_version, daemon_version
-    ):
+    def test_spectrum_query_and_ingest(self, populated_repo, service_dataset):
         queries = queries_of(service_dataset)
-        with make_service(
-            populated_repo, protocol_version=daemon_version
-        ) as service:
+        with make_service(populated_repo) as service:
             service.start()
             local = service.query(queries, k=3)
-            with ServiceClient(
-                port=service.port, protocol_version=client_version
-            ) as client:
+            with ServiceClient(port=service.port) as client:
                 assert client.query(queries, k=3) == local
                 report = client.ingest(service_dataset.spectra[-4:])
                 assert report.num_added == 4
 
-    def test_fetch_chunk_bytes_identical_across_versions(
-        self, populated_repo, client_version, daemon_version
-    ):
-        with make_service(
-            populated_repo, protocol_version=daemon_version
-        ) as service:
+    def test_fetch_chunk_bytes_identical_to_the_file(self, populated_repo):
+        with make_service(populated_repo) as service:
             service.start()
-            with ServiceClient(
-                port=service.port, protocol_version=client_version
-            ) as client:
+            with ServiceClient(port=service.port) as client:
                 generation, files, _manifest = client.generation_files()
                 entry = max(files, key=lambda f: f.size)
                 chunk = client.fetch_chunk(
@@ -440,6 +427,74 @@ class TestInteropMatrix:
             "rb",
         ) as handle:
             assert handle.read(len(data)) == data
+
+
+def exchange(port: int, raw: bytes):
+    """Send raw bytes on a fresh connection; ``(reply, peer_hung_up)``."""
+    with socket.create_connection(("127.0.0.1", port)) as sock:
+        sock.sendall(raw)
+        reply = protocol.recv_message(sock)
+        sock.settimeout(0.5)
+        try:
+            hung_up = sock.recv(1) == b""
+        except socket.timeout:
+            hung_up = False
+    return reply, hung_up
+
+
+class TestOneVersionGate:
+    @pytest.mark.parametrize("version", [1, 2, 9])
+    def test_foreign_version_frames_are_refused_and_the_daemon_serves_on(
+        self, populated_repo, service_dataset, version
+    ):
+        with make_service(populated_repo) as service:
+            service.start()
+            # What versions 1 and 2 carried: the bare JSON object (the
+            # body is drained undecoded whatever it holds).
+            body = json.dumps({"op": "hello", "protocol": version}).encode()
+            reply, hung_up = exchange(
+                service.port, _HEADER.pack(MAGIC, version, len(body)) + body
+            )
+            assert reply == {
+                "status": "error",
+                "error": f"unsupported protocol version {version} "
+                "(this build speaks 3)",
+            }
+            assert hung_up
+            vectors = service.repository.encoder.encode_batch(
+                queries_of(service_dataset)
+            )
+            with ClusterRepository.open(populated_repo) as repository:
+                with QueryService(repository) as local:
+                    expected = local.query_vectors(vectors, k=3)
+            with ServiceClient(port=service.port) as client:
+                assert client.query_vectors(vectors, k=3) == expected
+
+    def test_hand_built_version_3_frame_still_decodes(self, populated_repo):
+        """A frame packed without the encoder — and with the ``kind`` /
+        ``field`` descriptor keys earlier builds wrote — is served."""
+        vectors = np.zeros((1, 16), dtype="<u8")
+        vec = descriptor(
+            "vec", "<u8", (1, 16), vectors.nbytes, kind="vectors", field="vec"
+        )
+        head = {"op": "query_vectors", "k": 1, "dim": 1024, PAYLOADS_KEY: [vec]}
+        with make_service(populated_repo) as service:
+            service.start()
+            reply, hung_up = exchange(
+                service.port, v3_frame(head, vectors.tobytes())
+            )
+            assert reply["status"] == "ok" and not hung_up
+            assert extract_matches(reply) == service.query_vectors(vectors, k=1)
+
+    def test_hello_with_another_version_is_refused(self, populated_repo):
+        with make_service(populated_repo) as service:
+            service.start()
+            reply, hung_up = exchange(
+                service.port, v3_frame({"op": "hello", "protocol": 2})
+            )
+            assert reply["status"] == "error"
+            assert "unsupported protocol version 2" in reply["error"]
+            assert not hung_up  # a readable frame: the connection stays
 
 
 class TestDaemonSurvivesBadFrames:
@@ -465,6 +520,26 @@ class TestDaemonSurvivesBadFrames:
                 assert client.query_vectors(vectors, k=2) == (
                     service.query_vectors(vectors, k=2)
                 )
+
+    @pytest.mark.parametrize(
+        "case", sorted(c for c in LIES if "op" in LIES[c][0])
+    )
+    def test_lying_payloads_get_an_error_reply_not_a_dead_daemon(
+        self, populated_repo, case
+    ):
+        message, _extract = LIES[case]
+        with make_service(populated_repo) as service:
+            service.start()
+            with socket.create_connection(
+                ("127.0.0.1", service.port)
+            ) as sock:
+                sock.sendall(encode_frame(message))
+                reply = protocol.recv_message(sock)
+                assert reply["status"] == "error"
+                assert "ProtocolError" in reply["error"]
+                # Well-framed, so even this connection keeps working.
+                protocol.send_message(sock, {"op": "ping"})
+                assert protocol.recv_message(sock)["status"] == "ok"
 
     def test_mid_payload_disconnect_does_not_wedge_the_daemon(
         self, populated_repo
@@ -509,12 +584,3 @@ class TestTransportAccounting:
         assert sizes["request_p50_bytes"] > vectors.nbytes
         assert sizes["request_p99_bytes"] >= sizes["request_p50_bytes"]
         assert sizes["response_p50_bytes"] > 0
-
-    def test_forced_v1_daemon_still_reports_transport(self, populated_repo):
-        with make_service(populated_repo, protocol_version=1) as service:
-            service.start()
-            with ServiceClient(port=service.port) as client:
-                assert client.protocol_version == 1
-                client.ping()
-                metrics = client.metrics()
-        assert metrics["transport"]["bytes_sent"] > 0

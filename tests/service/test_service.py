@@ -21,10 +21,10 @@ from repro.service import ClusterService, ServiceClient, ServiceConfig
 from repro.service.daemon import _PendingQuery
 from repro.service.protocol import (
     MAGIC,
+    attach_vectors,
     encode_frame,
+    extract_vectors,
     recv_message,
-    vectors_from_wire,
-    vectors_to_wire,
 )
 from repro.store import ClusterRepository, QueryService
 
@@ -293,13 +293,25 @@ class TestWriterAndCheckpointer:
 
 
 class TestProtocolCodecs:
+    @staticmethod
+    def _over_the_wire(message):
+        left, right = socket.socketpair()
+        try:
+            left.sendall(encode_frame(message))
+            return recv_message(right)
+        finally:
+            left.close()
+            right.close()
+
     def test_vectors_round_trip(self):
         rng = np.random.default_rng(5)
         vectors = rng.integers(
             0, 2**63, size=(7, 16), dtype=np.uint64
         )
-        decoded = vectors_from_wire(vectors_to_wire(vectors))
-        np.testing.assert_array_equal(decoded, vectors)
+        received = self._over_the_wire(
+            attach_vectors({"op": "query_vectors"}, vectors)
+        )
+        np.testing.assert_array_equal(extract_vectors(received), vectors)
 
     def test_frame_round_trip_over_socketpair(self):
         left, right = socket.socketpair()
@@ -325,8 +337,12 @@ class TestProtocolCodecs:
             right.close()
 
     def test_mismatched_vector_payload_rejected(self):
+        message = attach_vectors(
+            {"op": "query_vectors"}, np.ones((2, 3), dtype=np.uint64)
+        )
+        message["dim"] = 128  # the payload is 3 words = 192 bits wide
         with pytest.raises(ServiceError, match="does not match dim"):
-            vectors_from_wire({"dim": 128, "vec": "AAAA"})
+            extract_vectors(self._over_the_wire(message))
 
     def test_magic_constant(self):
         assert MAGIC == b"RPRO"

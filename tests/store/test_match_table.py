@@ -10,13 +10,8 @@ things it replaced, on tie-heavy inputs where any slip in the
   rows — the scatter-gather contract the fleet router rides;
 * the coalescer's split (``table[a:b]``) and per-caller trim
   (``head(k)``) are a solo pass;
-* both wire forms of a table decode to the table, and the v1 inlining
-  is the historical ``asdict(match)`` row dicts byte for byte (this
-  file also runs in CI's forced ``REPRO_PROTOCOL_VERSION=1`` leg).
+* a table sent over the wire decodes to the table.
 """
-
-import json
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -82,9 +77,9 @@ class _FrameSocket:
         return count
 
 
-def over_the_wire(table, version):
+def over_the_wire(table):
     frame = protocol.encode_frame(
-        protocol.attach_matches({"status": "ok"}, table), version=version
+        protocol.attach_matches({"status": "ok"}, table)
     )
     message = protocol.FrameReceiver().recv_message(_FrameSocket(frame))
     return protocol.extract_matches(message)
@@ -217,40 +212,22 @@ class TestTableAgainstListForm:
 
     @given(answers=answers())
     @settings(max_examples=100, deadline=None)
-    def test_both_wire_forms_round_trip_the_table(self, answers):
+    def test_the_wire_round_trips_the_table(self, answers):
         rows = answers[0]
         table = MatchTable.from_rows(rows)
         assert table == rows
         assert as_lists(table) == rows
-        for version in (1, 3, protocol.preferred_version()):
-            decoded = over_the_wire(table, version)
-            assert isinstance(decoded, MatchTable)
-            assert decoded == table
-            assert decoded == rows
-        # The v1 inlining is the historical row dicts, byte for byte.
-        legacy = {
-            "status": "ok",
-            "results": [[asdict(m) for m in row] for row in rows],
-        }
-        built = protocol.attach_matches({"status": "ok"}, table)
-        assert protocol.encode_frame(built, version=1) == (
-            protocol.encode_frame(legacy, version=1)
-        )
-        assert table.to_records() == legacy["results"]
-        assert MatchTable.from_records(
-            json.loads(json.dumps(legacy["results"]))
-        ) == table
+        decoded = over_the_wire(table)
+        assert isinstance(decoded, MatchTable)
+        assert decoded == table
+        assert decoded == rows
 
-    def test_a_served_table_round_trips_and_inlines(self, tie_heavy):
+    def test_a_served_table_round_trips(self, tie_heavy):
         service, queries = tie_heavy
         table = service.query_vectors(queries, 20)
         rows = as_lists(table)
         assert MatchTable.from_rows(rows) == table
-        for version in (1, 3):
-            assert over_the_wire(table, version) == table
-        assert protocol.inline_message(
-            protocol.attach_matches({}, table)
-        )["results"] == [[asdict(m) for m in row] for row in rows]
+        assert over_the_wire(table) == table == rows
 
     def test_equality_with_lists(self, tie_heavy):
         service, queries = tie_heavy
