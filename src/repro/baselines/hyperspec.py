@@ -22,7 +22,7 @@ from ..cluster import (
     dbscan_precomputed,
     nn_chain_linkage,
 )
-from ..hdc import EncoderConfig, IDLevelEncoder, pairwise_hamming
+from ..hdc import EncoderConfig, IDLevelEncoder, pairwise_hamming_blocked
 from ..spectrum import MassSpectrum
 from .base import ClusteringTool, assign_bucket_labels, bucketed
 
@@ -60,7 +60,9 @@ class HyperSpecHAC(ClusteringTool):
                 labels[members[0]] = next_label
                 next_label += 1
                 continue
-            distances = pairwise_hamming(hypervectors[members]).astype(float)
+            distances = pairwise_hamming_blocked(
+                hypervectors[members]
+            ).astype(float)
             result = nn_chain_linkage(distances, self.linkage)
             bucket_labels = cut_at_height(result, threshold_bits)
             next_label = assign_bucket_labels(
@@ -101,7 +103,9 @@ class HyperSpecDBSCAN(ClusteringTool):
             if len(members) == 1:
                 labels[members[0]] = -1
                 continue
-            distances = pairwise_hamming(hypervectors[members]).astype(float)
+            distances = pairwise_hamming_blocked(
+                hypervectors[members]
+            ).astype(float)
             bucket_labels = dbscan_precomputed(
                 distances,
                 DBSCANConfig(eps=eps_bits, min_samples=self.min_samples),

@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report streaming progress (spectra/s, batches, per-stage "
              "queue depth) to stderr",
     )
-    _add_kernel_tier_argument(ingest)
 
     query = subparsers.add_parser(
         "query", help="top-k nearest clusters from a repository"
@@ -263,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sampled bit planes per shard index "
              "(default: the repository manifest's setting)",
     )
-    _add_kernel_tier_argument(query)
 
     repo_info = subparsers.add_parser(
         "repo-info", help="summarise a cluster repository directory"
@@ -359,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="orphaned .partial staging dirs older than this many "
              "seconds are swept during retirement (default 3600)",
     )
-    _add_kernel_tier_argument(serve)
 
     scrub = subparsers.add_parser(
         "scrub",
@@ -482,27 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--probe-timeout", type=float, default=2.0,
         help="per-probe timeout in seconds (default 2.0)",
     )
-    _add_kernel_tier_argument(route_serve)
     return parser
-
-
-def _add_kernel_tier_argument(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--kernel-tier", default="auto",
-        choices=("auto", "numpy", "numba"),
-        help="bit-kernel backend: auto picks the fastest available tier, "
-             "an explicit unavailable tier degrades to numpy with a log "
-             "line (REPRO_KERNEL_TIER overrides; default auto)",
-    )
-
-
-def _apply_kernel_tier(args: argparse.Namespace) -> None:
-    """Install the parsed ``--kernel-tier`` choice, if any."""
-    tier = getattr(args, "kernel_tier", "auto")
-    if tier and tier != "auto":
-        from .hdc.kernels import set_kernel_tier
-
-        set_kernel_tier(tier)
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -734,7 +711,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     from .io.hvstore import HypervectorStore
     from .store import StreamingIngestor
 
-    _apply_kernel_tier(args)
     if args.batch_size < 1:
         print("error: --batch-size must be >= 1", file=sys.stderr)
         return 2
@@ -910,7 +886,6 @@ def _parse_address(address: str, flag: str):
 def _cmd_query(args: argparse.Namespace) -> int:
     from .io import SpectrumSource
 
-    _apply_kernel_tier(args)
     if args.top_k < 1:
         print("error: --top-k must be >= 1", file=sys.stderr)
         return 2
@@ -1041,12 +1016,7 @@ def _cmd_repo_info(args: argparse.Namespace) -> int:
     print(f"stored     : {format_bytes(repository.stored_bytes())} "
           f"packed hypervectors")
     print(f"WAL        : {format_bytes(repository.wal_bytes())}")
-    tiers = ", ".join(
-        name for name, entry in sorted(kernel["tiers"].items())
-        if entry["available"]
-    )
-    print(f"kernels    : {kernel['tier']} tier "
-          f"(v{kernel['tier_version']}; available: {tiers})")
+    print(f"kernels    : {kernel['popcount']} (numpy {kernel['numpy']})")
     print("shards     :")
     for stats in repository.shard_stats():
         print(f"  shard {stats['shard']}: {stats['spectra']} spectra, "
@@ -1058,7 +1028,6 @@ def _cmd_repo_info(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import ClusterService, ServiceConfig
 
-    _apply_kernel_tier(args)
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -1295,7 +1264,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 def _cmd_route(args: argparse.Namespace) -> int:
     from .fleet import PlacementMap, RouterConfig, RouterDaemon
 
-    _apply_kernel_tier(args)
     placement = PlacementMap.load(args.map)
     router = RouterDaemon(
         placement,

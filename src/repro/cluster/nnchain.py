@@ -130,7 +130,7 @@ def nn_chain_linkage(
     ----------
     distances:
         Square symmetric matrix of pairwise distances (e.g. Hamming counts
-        from :func:`repro.hdc.pairwise_hamming`).
+        from :func:`repro.hdc.pairwise_hamming_blocked`).
     linkage:
         One of ``single``, ``complete``, ``average``, ``ward``.
 

@@ -12,14 +12,18 @@ Backends
 ``serial``
     Plain in-order loop; zero overhead, the default.
 ``threads``
-    ``concurrent.futures.ThreadPoolExecutor``.  The hot kernels (XOR,
-    popcount, linkage) are numpy calls that release the GIL, so threads
-    overlap well on multi-core hosts without any pickling cost.
+    ``concurrent.futures.ThreadPoolExecutor``.  The Hamming kernels are
+    numpy ufunc loops (XOR, ``np.bitwise_count``, reductions) that
+    release the GIL, so threads overlap on multi-core hosts without any
+    pickling cost.
 ``processes``
     ``concurrent.futures.ProcessPoolExecutor``.  True parallelism for
     CPU-bound Python sections at the price of pickling work items; the
     mapped function and its arguments must be picklable (top-level
     functions and numpy arrays are).
+
+Workers need no per-process setup: there is one kernel implementation,
+so :meth:`ExecutionPool.warm_up` only pays the spawn cost up front.
 """
 
 from __future__ import annotations
@@ -37,32 +41,9 @@ _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
 
 
-def _kernel_worker_init(configured_tier: Optional[str]) -> None:
-    """Process-pool initializer: warm the kernel tier once per worker.
-
-    JIT tiers compile per interpreter, so without this every worker pays
-    the numba compile cost on its *first mapped task* — tens of seconds
-    of latency buried inside what looks like a small work item.  Running
-    the warm-up in the pool initializer moves that cost to pool spawn,
-    where ``ExecutionPool.warm_up`` already accounts for it.  Must never
-    raise: a failed warm-up degrades to numpy inside the registry, and a
-    broken initializer would kill the whole pool.
-    """
-    try:
-        from .hdc import kernels
-
-        if configured_tier is not None:
-            kernels.set_kernel_tier(configured_tier)
-        kernels.warm_up()
-    except Exception:  # noqa: BLE001 - never poison the worker
-        pass
-
-
-def _kernel_warm_probe(_item: int) -> tuple:
-    """Report (pid, tier, warmed) from inside a worker process."""
-    from .hdc import kernels
-
-    return (os.getpid(), kernels.active_kernel_tier(), kernels.is_warmed())
+def _spawn_probe(item: int) -> int:
+    """No-op task :meth:`ExecutionPool.warm_up` maps to spawn workers."""
+    return item
 
 
 def validate_backend(backend: str) -> str:
@@ -147,44 +128,27 @@ class ExecutionPool:
             else:
                 from concurrent.futures import ProcessPoolExecutor
 
-                from .hdc import kernels
-
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_kernel_worker_init,
-                    initargs=(kernels.configured_tier(),),
-                )
+                self._executor = ProcessPoolExecutor(max_workers=self.workers)
         return self._executor
 
     def warm_up(self) -> None:
-        """Eagerly spawn the executor and JIT-warm the kernel tier.
+        """Eagerly spawn the executor.
 
         Pools are created lazily on first dispatch, which is right for
         one-shot CLI runs but wrong for a serving daemon: the first
         client query would pay the whole thread/process spawn (and, for
-        ``processes``, interpreter + import + kernel JIT) cost.  Daemons
-        call this at startup so the first request is as fast as the
-        thousandth.  ``serial``/``threads`` pools share the calling
-        interpreter's kernel registry, so one in-process warm-up covers
-        them; ``processes`` workers each warm in their pool initializer,
-        and mapping a probe over every worker here forces all spawns
-        (and therefore all compiles) to happen now rather than on the
-        first real task.
+        ``processes``, interpreter + import) cost.  Daemons call this at
+        startup so the first request is as fast as the thousandth.
         """
         if self._closed:
             raise ConfigurationError("execution pool is closed")
-        from .hdc import kernels
-
-        if self.backend == "processes" and not self.is_inline:
-            executor = self._ensure_executor()
-            # One probe per worker: ProcessPoolExecutor spawns workers
-            # on demand, so an idle pool would defer the initializer
-            # (and the JIT compile) to the first mapped task.
-            list(executor.map(_kernel_warm_probe, range(self.workers)))
-        else:
-            if not self.is_inline:
-                self._ensure_executor()
-            kernels.warm_up()
+        if self.is_inline:
+            return
+        executor = self._ensure_executor()
+        if self.backend == "processes":
+            # One probe per worker: ProcessPoolExecutor may spawn workers
+            # on demand, which would defer the spawn to the first task.
+            list(executor.map(_spawn_probe, range(self.workers)))
 
     @property
     def is_inline(self) -> bool:

@@ -1,25 +1,14 @@
 """Hyperdimensional-computing substrate: packed bits, item memories, encoder."""
 
-from .kernels import (
-    KERNEL_TIERS,
-    active_kernel_tier,
-    available_kernel_tiers,
-    kernel_runtime,
-    set_kernel_tier,
-)
-from .kernels import warm_up as warm_up_kernels
+from .kernels import kernel_runtime
 from .bitops import (
     WORD_BITS,
     words_for_dim,
     pack_bits,
     unpack_bits,
-    expand_bits,
-    accumulate_bit_counts,
     extract_bit_columns,
     counts_from_planes,
     popcount,
-    popcount_swar,
-    xor_popcount_rows,
     hamming_distance,
     random_hypervectors,
     flip_bits,
@@ -30,13 +19,11 @@ from .encoder import IDLevelEncoder, EncoderConfig
 from .hamming import (
     DISTANCE_DTYPE,
     MAX_CONDENSED_DIM,
-    pairwise_hamming,
     pairwise_hamming_blocked,
     hamming_cross,
     hamming_to_query,
     condensed_index,
     condensed_pairwise_hamming,
-    condensed_pairwise_hamming_blocked,
     squareform,
     normalized_hamming,
 )
@@ -48,23 +35,14 @@ from .compression import (
 )
 
 __all__ = [
-    "KERNEL_TIERS",
-    "active_kernel_tier",
-    "available_kernel_tiers",
     "kernel_runtime",
-    "set_kernel_tier",
-    "warm_up_kernels",
-    "xor_popcount_rows",
     "WORD_BITS",
     "words_for_dim",
     "pack_bits",
     "unpack_bits",
-    "expand_bits",
-    "accumulate_bit_counts",
     "extract_bit_columns",
     "counts_from_planes",
     "popcount",
-    "popcount_swar",
     "hamming_distance",
     "random_hypervectors",
     "flip_bits",
@@ -75,13 +53,11 @@ __all__ = [
     "EncoderConfig",
     "DISTANCE_DTYPE",
     "MAX_CONDENSED_DIM",
-    "pairwise_hamming",
     "pairwise_hamming_blocked",
     "hamming_cross",
     "hamming_to_query",
     "condensed_index",
     "condensed_pairwise_hamming",
-    "condensed_pairwise_hamming_blocked",
     "squareform",
     "normalized_hamming",
     "CompressionReport",

@@ -4,6 +4,14 @@ Hypervectors are stored packed, 64 dimensions per ``uint64`` word — the same
 layout the FPGA uses so that one XOR + popcount covers 64 dimensions per
 "operation".  All functions operate on 2-D arrays of shape
 ``(n_vectors, words)`` (or 1-D single vectors) and are fully vectorised.
+
+The popcount is ``np.bitwise_count`` (numpy >= 2.0), a ufunc over the CPU's
+popcount instruction; :func:`popcount` is its one call site, and every
+input is cast to ``uint64`` first because the ufunc counts the bits of the
+*absolute value* of a signed integer.  The majority accumulator is a
+carry-save adder network over packed words (:func:`csa_accumulate`), which
+never expands per-dimension bits.  The reference implementations these are
+checked against live in :mod:`repro.testing.oracles`.
 """
 
 from __future__ import annotations
@@ -11,35 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import EncodingError
-from . import kernels as _kernels
 
 #: Bits per storage word.
 WORD_BITS = 64
-
-# 16-bit popcount lookup table: indexing a uint64 array viewed as uint16
-# quadruples throughput compared to a per-byte table while keeping the
-# table (64 Ki entries) comfortably in cache.
-_POPCOUNT16 = np.array(
-    [bin(value).count("1") for value in range(1 << 16)], dtype=np.uint8
-)
-
-# 16-bit *positional* popcount table: row ``v`` holds the 16 individual bits
-# of ``v`` in little-endian order, so ``_BIT_EXPAND16[words.view(np.uint16)]``
-# expands a packed matrix into per-dimension 0/1 counts one word-chunk at a
-# time.  64 Ki rows x 16 lanes = 1 MiB, built lazily on first use (only the
-# table-driven oracle paths need it).
-_BIT_EXPAND16: np.ndarray | None = None
-
-
-def _bit_expand_table() -> np.ndarray:
-    global _BIT_EXPAND16
-    if _BIT_EXPAND16 is None:
-        _BIT_EXPAND16 = np.unpackbits(
-            np.arange(1 << 16, dtype=np.uint16)[:, None].view(np.uint8),
-            axis=1,
-            bitorder="little",
-        )
-    return _BIT_EXPAND16
 
 
 def words_for_dim(dim: int) -> int:
@@ -83,127 +65,26 @@ def unpack_bits(packed: np.ndarray, dim: int) -> np.ndarray:
 
 
 def popcount(words: np.ndarray) -> np.ndarray:
-    """Per-element population count of a uint64 array (any shape)."""
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    as_u16 = words.view(np.uint16)
-    counts = _POPCOUNT16[as_u16].astype(np.uint32)
-    # Four uint16 lanes per uint64 word: sum them back.
-    return counts.reshape(words.shape + (4,)).sum(axis=-1)
+    """Per-element population count (uint8) of a packed array (any shape)."""
+    return np.bitwise_count(np.asarray(words, dtype=np.uint64))
 
 
-# SWAR popcount masks (Hacker's Delight §5-1).
-_SWAR_M1 = np.uint64(0x5555_5555_5555_5555)
-_SWAR_M2 = np.uint64(0x3333_3333_3333_3333)
-_SWAR_M4 = np.uint64(0x0F0F_0F0F_0F0F_0F0F)
-_SWAR_H01 = np.uint64(0x0101_0101_0101_0101)
+def hamming_distance(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Hamming distance (int64) along the last axis of packed arrays.
 
-
-def _popcount_swar_inplace(x: np.ndarray) -> np.ndarray:
-    """Clobber uint64 array ``x`` with its per-element popcount."""
-    x -= (x >> np.uint64(1)) & _SWAR_M1
-    np.add(x & _SWAR_M2, (x >> np.uint64(2)) & _SWAR_M2, out=x)
-    np.add(x, x >> np.uint64(4), out=x)
-    x &= _SWAR_M4
-    x *= _SWAR_H01
-    x >>= np.uint64(56)
-    return x
-
-
-def _popcount_swar_numpy(words: np.ndarray) -> np.ndarray:
-    """The numpy tier of :func:`popcount_swar` (the reference kernel)."""
-    x = np.array(words, dtype=np.uint64, copy=True)
-    if x.size == 0:
-        return x
-    return _popcount_swar_inplace(x)
-
-
-def popcount_swar(words: np.ndarray) -> np.ndarray:
-    """Per-element popcount via branch-free SWAR arithmetic (uint64 out).
-
-    Identical counts to :func:`popcount` but computed with ~6 vectorised
-    ALU passes instead of a 16-bit table gather — considerably faster on
-    the large XOR intermediates of the blocked Hamming kernels, where the
-    random-access lookups of the table version dominate.  Dispatches to
-    the active kernel tier (:mod:`repro.hdc.kernels`); every tier is
-    byte-identical to the numpy reference.
-    """
-    return _kernels.active_backend().popcount_swar(words)
-
-
-def _hamming_pairs_numpy(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Row-wise Hamming distances of two same-shape packed matrices."""
-    return _popcount_swar_inplace(np.bitwise_xor(first, second)).sum(
-        axis=-1, dtype=np.int64
-    )
-
-
-def xor_popcount_rows(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Hamming distance along the last axis of broadcast packed arrays.
-
-    ``first`` and ``second`` broadcast against each other with a shared
-    trailing ``words`` axis; the result is the int64 per-row distance of
-    shape ``broadcast(first, second).shape[:-1]``.  This is the fused
-    XOR + popcount + reduce every index verification path uses —
-    dispatched through the kernel registry so the numba tier never
-    materialises the XOR intermediate.
+    ``first`` and ``second`` broadcast against each other over their
+    leading axes and must share the trailing ``words`` axis; the result
+    has shape ``broadcast(first, second).shape[:-1]``.  This one XOR +
+    popcount + reduce is what every Hamming kernel is built from.
     """
     first = np.asarray(first, dtype=np.uint64)
     second = np.asarray(second, dtype=np.uint64)
-    backend = _kernels.active_backend()
-    if backend.name == "numpy":
-        xor = np.bitwise_xor(first, second)
-        return _popcount_swar_inplace(xor).sum(axis=-1, dtype=np.int64)
-    a, b = np.broadcast_arrays(first, second)
-    words = a.shape[-1] if a.ndim else 0
-    flat_first = np.ascontiguousarray(a.reshape(-1, words))
-    flat_second = np.ascontiguousarray(b.reshape(-1, words))
-    return backend.hamming_pairs(flat_first, flat_second).reshape(
-        a.shape[:-1]
-    )
-
-
-def expand_bits(packed: np.ndarray, dim: int) -> np.ndarray:
-    """Table-driven equivalent of :func:`unpack_bits` for 2-D packed input.
-
-    Expands each uint64 word through the positional-popcount table (four
-    uint16 chunks per word) instead of calling ``np.unpackbits``; output is
-    bit-identical to :func:`unpack_bits`.  Together with
-    :func:`accumulate_bit_counts` this forms an independent word-level
-    counting implementation used as the oracle against which the CSA fast
-    path (:func:`csa_accumulate`) is tested.
-    """
-    packed = np.ascontiguousarray(packed, dtype=np.uint64)
-    if packed.ndim != 2:
-        raise EncodingError("expand_bits expects a 2-D packed matrix")
-    chunks = packed.view(np.uint16)
-    bits = _bit_expand_table()[chunks].reshape(packed.shape[0], -1)
-    return bits[:, :dim]
-
-
-def accumulate_bit_counts(
-    packed: np.ndarray, group_starts: np.ndarray, dim: int
-) -> np.ndarray:
-    """Per-dimension one-counts of ``packed`` rows, summed within groups.
-
-    ``group_starts`` holds the first row index of each group (``reduceat``
-    layout: group ``g`` covers rows ``group_starts[g]:group_starts[g+1]``,
-    the last group runs to the end).  Every group must be non-empty.  Returns
-    an int64 matrix of shape ``(len(group_starts), dim)`` — the per-group
-    majority accumulator, computed with one table expansion and one grouped
-    reduction.  The production encoder uses the faster carry-save route
-    (:func:`csa_accumulate` + :func:`planes_greater_than`); this function is
-    the independent oracle the equivalence suite checks that route against.
-    """
-    packed = np.ascontiguousarray(packed, dtype=np.uint64)
-    if packed.ndim != 2:
-        raise EncodingError("accumulate_bit_counts expects a 2-D matrix")
-    group_starts = np.asarray(group_starts, dtype=np.intp)
-    if group_starts.size == 0:
-        return np.zeros((0, dim), dtype=np.int64)
-    if packed.shape[0] == 0:
-        raise EncodingError("accumulate_bit_counts requires non-empty groups")
-    bits = expand_bits(packed, dim)
-    return np.add.reduceat(bits, group_starts, axis=0, dtype=np.int64)
+    if first.shape[-1:] != second.shape[-1:]:
+        raise EncodingError(
+            f"word-count mismatch: {first.shape[-1:]} vs {second.shape[-1:]}"
+        )
+    xor = np.bitwise_xor(first, second)
+    return popcount(xor).sum(axis=-1, dtype=np.int64)
 
 
 def csa_accumulate(rows: np.ndarray, capacity: int) -> np.ndarray:
@@ -235,14 +116,7 @@ def csa_accumulate(rows: np.ndarray, capacity: int) -> np.ndarray:
     planes = np.zeros(
         (planes_count,) + rows.shape[1:], dtype=np.uint64
     )
-    _kernels.active_backend().csa_fill(rows, planes)
-    return planes
-
-
-def _csa_fill_numpy(rows: np.ndarray, planes: np.ndarray) -> None:
-    """The numpy tier of :func:`csa_accumulate`: fill zeroed ``planes``."""
-    c, m, words = rows.shape
-    planes_count = planes.shape[0]
+    m, words = rows.shape[1:]
     t1 = np.empty((m, words), dtype=np.uint64)
     t2 = np.empty((m, words), dtype=np.uint64)
     carry_a = np.empty((m, words), dtype=np.uint64)
@@ -282,6 +156,7 @@ def _csa_fill_numpy(rows: np.ndarray, planes: np.ndarray) -> None:
         j += 2
     if j < c:
         ripple(0, rows[j])
+    return planes
 
 
 def planes_greater_than(
@@ -373,7 +248,7 @@ def counts_from_planes(
     able to hold ``2**P - 1``; narrow types halve the accumulation
     traffic on large lane counts.
     """
-    planes = np.asarray(planes, dtype=np.uint64)
+    planes = np.ascontiguousarray(planes, dtype=np.uint64)
     if planes.ndim != 3:
         raise EncodingError("counts_from_planes expects (P, m, words) planes")
     if lanes < 0 or lanes > planes.shape[2] * WORD_BITS:
@@ -381,26 +256,10 @@ def counts_from_planes(
     if (1 << planes.shape[0]) - 1 > np.iinfo(dtype).max:
         raise EncodingError(f"{np.dtype(dtype).name} cannot hold plane counts")
     counts = np.zeros((planes.shape[1], lanes), dtype=dtype)
-    _kernels.active_backend().counts_fill(
-        np.ascontiguousarray(planes), counts
-    )
-    return counts
-
-
-def _counts_fill_numpy(planes: np.ndarray, out: np.ndarray) -> None:
-    """The numpy tier of :func:`counts_from_planes`: fill zeroed ``out``."""
-    lanes = out.shape[1]
-    dtype = out.dtype.type
     for level in range(planes.shape[0]):
-        out += unpack_bits(planes[level], lanes).astype(dtype) << dtype(level)
-
-
-def hamming_distance(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Hamming distance between packed vectors (broadcasting over rows)."""
-    xor = np.bitwise_xor(
-        np.asarray(first, dtype=np.uint64), np.asarray(second, dtype=np.uint64)
-    )
-    return popcount(xor).sum(axis=-1)
+        bits = unpack_bits(planes[level], lanes).astype(dtype)
+        counts += bits << dtype(level)
+    return counts
 
 
 def random_hypervectors(

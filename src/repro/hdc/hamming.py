@@ -1,9 +1,16 @@
 """Hamming-distance kernels on packed hypervector matrices.
 
 These functions are the software twins of the FPGA's XOR + popcount distance
-module (§III-C): pairwise distances over packed uint64 rows, a condensed
-lower-triangular layout matching the on-chip distance memory, and 16-bit
-fixed-point quantization identical to the hardware's storage format.
+module (§III-C): dense and condensed pairwise distances over packed uint64
+rows, a condensed lower-triangular layout matching the on-chip distance
+memory, and 16-bit fixed-point quantization identical to the hardware's
+storage format.
+
+Every kernel is one broadcast :func:`~repro.hdc.bitops.hamming_distance`
+(XOR, hardware popcount, int64 reduction) per block of rows, with blocks
+sized so the XOR intermediate stays cache-resident — the software shape of
+the FPGA's unrolled distance array.  All distances are int64 except the
+condensed layout, which uses the hardware's uint16.
 """
 
 from __future__ import annotations
@@ -11,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import EncodingError
-from . import kernels as _kernels
-from .bitops import popcount, popcount_swar
+from .bitops import hamming_distance
 
 #: The FPGA stores distances as 16-bit fixed point; with D_hv <= 65535 the
 #: raw Hamming count always fits losslessly.
@@ -25,10 +31,9 @@ MAX_CONDENSED_DIM = np.iinfo(DISTANCE_DTYPE).max
 #: intermediate (block_rows, n, words) tensor inside the cache working set.
 _BLOCK_BYTES = 1 << 22
 
-#: Tile budget of the cross kernel.  Its popcount makes ~7 vectorised
-#: passes over each XOR tile, so the tile must stay L2-resident —
-#: 512 KiB tiles measure ~2x faster than multi-MiB ones on large
-#: query x medoid products.
+#: Tile budget of the cross kernel.  Each XOR tile is written once and
+#: read back by the popcount, whose uint8 counts the reduction reads
+#: again, so the tile is sized to stay L2-resident.
 _CROSS_BLOCK_BYTES = 1 << 19
 
 
@@ -49,51 +54,20 @@ def _guard_condensed_dim(words: int) -> None:
         )
 
 
-def pairwise_hamming(vectors: np.ndarray) -> np.ndarray:
-    """Dense symmetric pairwise Hamming-distance matrix (int64).
-
-    ``vectors`` is a packed matrix of shape ``(n, words)``.  For bucket-sized
-    inputs (n up to a few thousand) the O(n² · words) vectorised loop below
-    is memory-friendly: one XOR row-broadcast per anchor row.
-    """
-    vectors = np.asarray(vectors, dtype=np.uint64)
-    if vectors.ndim != 2:
-        raise EncodingError("pairwise_hamming expects a 2-D packed matrix")
-    n = vectors.shape[0]
-    distances = np.zeros((n, n), dtype=np.int64)
-    for row in range(n):
-        xor = np.bitwise_xor(vectors[row : row + 1], vectors[row + 1 :])
-        if xor.size:
-            row_distances = popcount(xor).sum(axis=1)
-            distances[row, row + 1 :] = row_distances
-            distances[row + 1 :, row] = row_distances
-    return distances
-
-
 def _xor_popcount_block(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Hamming distances between every row pair of two packed matrices.
-
-    Broadcasts one XOR over ``(len(rows), len(others))`` pairs and reduces
-    with the in-place SWAR popcount — the intermediate is consumed where it
-    is produced, with no table gathers.
-    """
-    from .bitops import _popcount_swar_inplace
-
-    xor = np.bitwise_xor(rows[:, None, :], others[None, :, :])
-    return _popcount_swar_inplace(xor).sum(axis=-1, dtype=np.int64)
+    """Hamming distances (int64) between every row pair of two matrices."""
+    return hamming_distance(rows[:, None, :], others[None, :, :])
 
 
 def pairwise_hamming_blocked(
     vectors: np.ndarray, block_rows: int | None = None
 ) -> np.ndarray:
-    """Blocked dense pairwise Hamming distances, bit-identical to
-    :func:`pairwise_hamming`.
+    """Dense symmetric pairwise Hamming-distance matrix (int64).
 
-    Processes whole row blocks of the lower triangle per broadcast
-    XOR + SWAR-popcount pass (the software shape of the FPGA's unrolled
-    distance array) instead of one Python-level pass per anchor row, and
-    mirrors each block into the upper triangle.  ``block_rows`` defaults
-    to a size that keeps each XOR intermediate cache-friendly.
+    ``vectors`` is a packed matrix of shape ``(n, words)``.  Whole row
+    blocks of the lower triangle are computed per broadcast XOR + popcount
+    pass and mirrored into the upper triangle.  ``block_rows`` defaults to
+    a size that keeps each XOR intermediate cache-friendly.
     """
     vectors = np.asarray(vectors, dtype=np.uint64)
     if vectors.ndim != 2:
@@ -118,37 +92,6 @@ def pairwise_hamming_blocked(
     return distances
 
 
-def condensed_pairwise_hamming_blocked(
-    vectors: np.ndarray, block_rows: int | None = None
-) -> np.ndarray:
-    """Blocked condensed pairwise Hamming distances (uint16).
-
-    Bit-identical to :func:`condensed_pairwise_hamming` but computes whole
-    row blocks of the lower triangle per XOR + SWAR-popcount pass.
-    """
-    vectors = np.asarray(vectors, dtype=np.uint64)
-    if vectors.ndim != 2:
-        raise EncodingError(
-            "condensed_pairwise_hamming_blocked expects a 2-D packed matrix"
-        )
-    n, words = vectors.shape
-    _guard_condensed_dim(words)
-    if block_rows is None:
-        block_rows = _block_rows(n, words)
-    if block_rows < 1:
-        raise EncodingError("block_rows must be >= 1")
-    out = np.zeros(n * (n - 1) // 2, dtype=DISTANCE_DTYPE)
-    for lo in range(1, n, block_rows):
-        hi = min(lo + block_rows, n)
-        # Rows lo:hi of the triangle all compare against vectors[:hi-1];
-        # one broadcast XOR covers the block, sliced to j < i below.
-        block = _xor_popcount_block(vectors[lo:hi], vectors[: hi - 1])
-        for offset, i in enumerate(range(lo, hi)):
-            start = i * (i - 1) // 2
-            out[start : start + i] = block[offset, :i].astype(DISTANCE_DTYPE)
-    return out
-
-
 def hamming_cross(
     queries: np.ndarray,
     refs: np.ndarray,
@@ -158,17 +101,10 @@ def hamming_cross(
 
     Returns shape ``(len(queries), len(refs))``, bit-identical to stacking
     :func:`hamming_to_query` over the query rows.  The computation is
-    tiled over both query rows and reference rows so each XOR +
-    SWAR-popcount intermediate stays near ``_BLOCK_BYTES`` (the same
-    cache discipline as the pairwise kernels) even when one side is a
-    large medoid matrix — this is the kernel the repository's batched
-    shard scans are built on.
-
-    Dispatches through the kernel registry
-    (:mod:`repro.hdc.kernels`): on the numba tier the XOR is popcounted
-    in-register with no intermediate tile at all.  Every tier returns
-    byte-identical distances; an explicit ``block_rows`` pins the numpy
-    tiling path (it is a numpy cache knob, meaningless to fused loops).
+    tiled over both query rows and reference rows so each XOR intermediate
+    stays near ``_CROSS_BLOCK_BYTES`` even when one side is a large medoid
+    matrix — this is the kernel the repository's batched shard scans are
+    built on.  ``block_rows`` overrides the query rows per tile.
     """
     queries = np.asarray(queries, dtype=np.uint64)
     refs = np.asarray(refs, dtype=np.uint64)
@@ -178,23 +114,6 @@ def hamming_cross(
         raise EncodingError(
             "word-count mismatch between query and reference matrices"
         )
-    num_queries, words = queries.shape
-    num_refs = refs.shape[0]
-    if num_queries == 0 or num_refs == 0 or words == 0:
-        return np.zeros((num_queries, num_refs), dtype=np.int64)
-    if block_rows is None:
-        backend = _kernels.active_backend()
-        if backend.name != "numpy":
-            return backend.hamming_cross(queries, refs)
-    return _hamming_cross_numpy(queries, refs, block_rows)
-
-
-def _hamming_cross_numpy(
-    queries: np.ndarray,
-    refs: np.ndarray,
-    block_rows: int | None = None,
-) -> np.ndarray:
-    """The numpy tier of :func:`hamming_cross` (the reference kernel)."""
     num_queries, words = queries.shape
     num_refs = refs.shape[0]
     distances = np.zeros((num_queries, num_refs), dtype=np.int64)
@@ -221,15 +140,14 @@ def _hamming_cross_numpy(
 
 
 def hamming_to_query(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Hamming distance from every row of ``vectors`` to a single ``query``."""
+    """Hamming distance (int64) from every row of ``vectors`` to ``query``."""
     vectors = np.asarray(vectors, dtype=np.uint64)
     query = np.asarray(query, dtype=np.uint64)
     if query.ndim != 1 or vectors.ndim != 2:
         raise EncodingError("expected (n, words) matrix and (words,) query")
     if vectors.shape[1] != query.shape[0]:
         raise EncodingError("word-count mismatch between matrix and query")
-    xor = np.bitwise_xor(vectors, query[None, :])
-    return popcount(xor).sum(axis=1)
+    return hamming_distance(vectors, query[None, :])
 
 
 def condensed_index(i: int, j: int, n: int) -> int:
@@ -246,25 +164,36 @@ def condensed_index(i: int, j: int, n: int) -> int:
     return i * (i - 1) // 2 + j
 
 
-def condensed_pairwise_hamming(vectors: np.ndarray) -> np.ndarray:
+def condensed_pairwise_hamming(
+    vectors: np.ndarray, block_rows: int | None = None
+) -> np.ndarray:
     """Condensed lower-triangular pairwise Hamming distances (uint16).
 
     Returns an array of length ``n*(n-1)/2`` in the layout of
     :func:`condensed_index`, stored with the hardware's 16-bit width.
+    Whole row blocks of the triangle are computed per XOR + popcount pass;
+    ``block_rows`` overrides the default block height.
     """
     vectors = np.asarray(vectors, dtype=np.uint64)
     if vectors.ndim != 2:
         raise EncodingError(
             "condensed_pairwise_hamming expects a 2-D packed matrix"
         )
-    _guard_condensed_dim(vectors.shape[1])
-    n = vectors.shape[0]
+    n, words = vectors.shape
+    _guard_condensed_dim(words)
+    if block_rows is None:
+        block_rows = _block_rows(n, words)
+    if block_rows < 1:
+        raise EncodingError("block_rows must be >= 1")
     out = np.zeros(n * (n - 1) // 2, dtype=DISTANCE_DTYPE)
-    for i in range(1, n):
-        xor = np.bitwise_xor(vectors[:i], vectors[i : i + 1])
-        row = popcount(xor).sum(axis=1)
-        start = i * (i - 1) // 2
-        out[start : start + i] = row.astype(DISTANCE_DTYPE)
+    for lo in range(1, n, block_rows):
+        hi = min(lo + block_rows, n)
+        # Rows lo:hi of the triangle all compare against vectors[:hi-1];
+        # one broadcast XOR covers the block, sliced to j < i below.
+        block = _xor_popcount_block(vectors[lo:hi], vectors[: hi - 1])
+        for offset, i in enumerate(range(lo, hi)):
+            start = i * (i - 1) // 2
+            out[start : start + i] = block[offset, :i].astype(DISTANCE_DTYPE)
     return out
 
 

@@ -47,8 +47,8 @@ from ..hdc.bitops import (
     counts_from_planes,
     csa_accumulate,
     extract_bit_columns,
+    hamming_distance,
     pack_bits,
-    xor_popcount_rows,
 )
 
 #: Default number of sampled bit planes per shard index.  Pruning needs
@@ -77,7 +77,7 @@ _PILOT_MIN = 32
 _FALLBACK_FRACTION = 0.25
 
 #: Byte budget of one mismatch-plane block in :meth:`lower_bounds`.
-#: Unlike the cross kernel's 7-pass tiles, the CSA fold streams each
+#: Unlike the cross kernel's L2-sized tiles, the CSA fold streams each
 #: mismatch plane once, so large blocks win: they amortise the adder
 #: network's per-call setup over more queries.
 _QUERY_BLOCK_BYTES = 1 << 24
@@ -228,7 +228,7 @@ class BitSliceMedoidIndex:
         keep = min(k, self.count)
         pilot = min(self.count, max(keep, _PILOT_MIN))
         pilot_ids, _ = batched_topk(bounds, pilot)
-        pilot_distances = xor_popcount_rows(
+        pilot_distances = hamming_distance(
             vectors[pilot_ids], queries[:, None, :]
         )
         tau = np.partition(pilot_distances, keep - 1, axis=1)[:, keep - 1]
@@ -260,7 +260,7 @@ class BitSliceMedoidIndex:
         exact = np.empty(query_ids.size, dtype=np.int64)
         for lo in range(0, query_ids.size, _FLAT_CHUNK):
             hi = min(lo + _FLAT_CHUNK, query_ids.size)
-            exact[lo:hi] = xor_popcount_rows(
+            exact[lo:hi] = hamming_distance(
                 vectors[medoid_ids[lo:hi]], queries[query_ids[lo:hi]]
             )
         # One global stable sort keyed (query, distance, ordinal); the

@@ -97,21 +97,8 @@ class RepositoryConfig:
     linkage: str = "complete"
     index_probe_bits: int = DEFAULT_PROBE_BITS
     index_min_medoids: int = DEFAULT_MIN_MEDOIDS
-    #: Preferred kernel tier for this process (``None`` = auto-select;
-    #: ``REPRO_KERNEL_TIER`` in the environment still overrides).  A
-    #: runtime preference, not persisted in the manifest: the same
-    #: repository must be openable on hosts with different accelerators.
-    kernel_tier: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.kernel_tier is not None:
-            from ..hdc.kernels import KERNEL_TIERS
-
-            if self.kernel_tier not in KERNEL_TIERS:
-                raise ConfigurationError(
-                    f"unknown kernel tier {self.kernel_tier!r}; "
-                    f"choose one of {', '.join(KERNEL_TIERS)}"
-                )
         if self.num_shards < 1:
             raise ConfigurationError("num_shards must be >= 1")
         if self.shard_width < 1:
@@ -211,10 +198,6 @@ class ClusterRepository:
         num_workers: Optional[int] = None,
     ) -> "ClusterRepository":
         """Initialise a new repository directory and open it."""
-        if config.kernel_tier is not None:
-            from ..hdc.kernels import set_kernel_tier
-
-            set_kernel_tier(config.kernel_tier)
         directory = Path(directory)
         if (directory / MANIFEST_NAME).exists():
             raise SpecHDError(

@@ -1,7 +1,8 @@
 """Test-support utilities shipped with the library.
 
 Nothing here runs in production paths; the package exists so the fault
-injection harness (:mod:`repro.testing.faults`) is importable both from
+injection harness (:mod:`repro.testing.faults`) and the kernel reference
+implementations (:mod:`repro.testing.oracles`) are importable both from
 the test suite and from ad-hoc reproduction scripts.
 """
 

@@ -92,10 +92,10 @@ class TestEndToEndAccuracy:
 
     def test_integer_hamming_distances_exact(self, rng):
         """Raw Hamming counts are integers: zero dendrogram error."""
-        from repro.hdc import pairwise_hamming, random_hypervectors
+        from repro.hdc import pairwise_hamming_blocked, random_hypervectors
 
         vectors = random_hypervectors(30, 2048, rng)
-        distances = pairwise_hamming(vectors).astype(np.float64)
+        distances = pairwise_hamming_blocked(vectors).astype(np.float64)
         assert dendrogram_height_error(distances, "single") == 0.0
         # Complete linkage keeps integer heights too (min/max of integers).
         assert dendrogram_height_error(distances, "complete") == 0.0

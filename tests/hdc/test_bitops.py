@@ -95,6 +95,10 @@ class TestHamming:
         distance = hamming_distance(pairs[0], pairs[1])
         assert abs(distance - dim / 2) < dim * 0.1
 
+    def test_width_mismatch_is_typed(self):
+        with pytest.raises(EncodingError, match="word-count mismatch"):
+            hamming_distance(np.zeros(2, np.uint64), np.zeros(3, np.uint64))
+
 
 class TestFlipBits:
     def test_flip_is_involution(self, rng):

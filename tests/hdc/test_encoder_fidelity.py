@@ -16,7 +16,7 @@ from repro.hdc import (
     EncoderConfig,
     IDLevelEncoder,
     normalized_hamming,
-    pairwise_hamming,
+    pairwise_hamming_blocked,
 )
 from repro.spectrum import (
     cosine_distance_matrix,
@@ -32,7 +32,7 @@ def fidelity_data():
         EncoderConfig(dim=2048, mz_bins=16_000, intensity_levels=64)
     )
     vectors = encoder.encode_batch(spectra)
-    hamming = normalized_hamming(pairwise_hamming(vectors), 2048)
+    hamming = normalized_hamming(pairwise_hamming_blocked(vectors), 2048)
     cosine = cosine_distance_matrix(spectra)
     peptides = [s.metadata["peptide"] for s in spectra]
     return hamming, cosine, peptides

@@ -2,10 +2,10 @@
 
 The vectorised batch encoder and the blocked Hamming kernels are pure
 performance rewrites — every byte of their output must match the reference
-implementations (`encode`/`encode_batch_reference`, `pairwise_hamming`,
-`condensed_pairwise_hamming`).  These golden tests pin that contract across
-dimensionalities, odd/even peak counts (majority tie cases), ragged batches,
-and the word-level CSA counting primitives themselves.
+implementations (`encode`/`encode_batch_reference`, and the Hamming oracles
+in `repro.testing.oracles`).  These golden tests pin that contract across
+dimensionalities, block sizes, odd/even peak counts (majority tie cases),
+ragged batches, and the word-level CSA counting primitives themselves.
 """
 
 from __future__ import annotations
@@ -16,18 +16,14 @@ import pytest
 from repro.hdc import (
     EncoderConfig,
     IDLevelEncoder,
-    accumulate_bit_counts,
     condensed_pairwise_hamming,
-    condensed_pairwise_hamming_blocked,
-    expand_bits,
-    pack_bits,
-    pairwise_hamming,
     pairwise_hamming_blocked,
     random_hypervectors,
     unpack_bits,
 )
 from repro.hdc.bitops import csa_accumulate, planes_greater_than
 from repro.spectrum import MassSpectrum
+from repro.testing import oracles
 
 
 def _random_spectrum(rng: np.random.Generator, peaks: int, tag: str):
@@ -122,7 +118,7 @@ class TestHammingEquivalence:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 64])
     def test_blocked_pairwise_matches_reference(self, dim, n, rng):
         vectors = random_hypervectors(n, dim, rng)
-        reference = pairwise_hamming(vectors)
+        reference = oracles.pairwise_hamming(vectors)
         blocked = pairwise_hamming_blocked(vectors)
         assert blocked.dtype == reference.dtype
         np.testing.assert_array_equal(blocked, reference)
@@ -132,15 +128,15 @@ class TestHammingEquivalence:
         vectors = random_hypervectors(23, 256, rng)
         np.testing.assert_array_equal(
             pairwise_hamming_blocked(vectors, block_rows=block_rows),
-            pairwise_hamming(vectors),
+            oracles.pairwise_hamming(vectors),
         )
 
     @pytest.mark.parametrize("dim", [256, 2048])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 64])
     def test_blocked_condensed_matches_reference(self, dim, n, rng):
         vectors = random_hypervectors(n, dim, rng)
-        reference = condensed_pairwise_hamming(vectors)
-        blocked = condensed_pairwise_hamming_blocked(vectors)
+        reference = oracles.condensed_pairwise_hamming(vectors)
+        blocked = condensed_pairwise_hamming(vectors)
         assert blocked.dtype == reference.dtype
         assert blocked.tobytes() == reference.tobytes()
 
@@ -148,21 +144,12 @@ class TestHammingEquivalence:
     def test_blocked_condensed_any_block_size(self, block_rows, rng):
         vectors = random_hypervectors(19, 256, rng)
         np.testing.assert_array_equal(
-            condensed_pairwise_hamming_blocked(
-                vectors, block_rows=block_rows
-            ),
-            condensed_pairwise_hamming(vectors),
+            condensed_pairwise_hamming(vectors, block_rows=block_rows),
+            oracles.condensed_pairwise_hamming(vectors),
         )
 
 
 class TestCountingPrimitives:
-    def test_expand_bits_matches_unpack_bits(self, rng):
-        for dim in (64, 192, 2048):
-            vectors = random_hypervectors(9, dim, rng)
-            np.testing.assert_array_equal(
-                expand_bits(vectors, dim), unpack_bits(vectors, dim)
-            )
-
     def test_accumulate_bit_counts_matches_group_sums(self, rng):
         dim = 256
         counts_per_group = [1, 2, 5, 8, 3]
@@ -171,7 +158,7 @@ class TestCountingPrimitives:
         starts = np.concatenate(
             ([0], np.cumsum(counts_per_group)[:-1])
         )
-        got = accumulate_bit_counts(vectors, starts, dim)
+        got = oracles.accumulate_bit_counts(vectors, starts, dim)
         bits = unpack_bits(vectors, dim)
         row = 0
         for group, size in enumerate(counts_per_group):

@@ -8,13 +8,14 @@ from repro.hdc import (
     condensed_index,
     condensed_pairwise_hamming,
     hamming_cross,
+    hamming_distance,
     hamming_to_query,
     normalized_hamming,
-    pairwise_hamming,
+    pairwise_hamming_blocked,
     random_hypervectors,
     squareform,
-    unpack_bits,
 )
+from repro.testing import oracles
 
 
 @pytest.fixture()
@@ -24,24 +25,24 @@ def vectors(rng):
 
 class TestPairwise:
     def test_symmetric_zero_diagonal(self, vectors):
-        matrix = pairwise_hamming(vectors)
+        matrix = pairwise_hamming_blocked(vectors)
         assert np.array_equal(matrix, matrix.T)
         assert np.all(np.diag(matrix) == 0)
 
     def test_matches_bitwise_reference(self, vectors):
-        matrix = pairwise_hamming(vectors)
-        bits = unpack_bits(vectors, 256)
-        reference = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
-        np.testing.assert_array_equal(matrix, reference)
+        np.testing.assert_array_equal(
+            pairwise_hamming_blocked(vectors),
+            oracles.pairwise_hamming(vectors),
+        )
 
     def test_1d_input_rejected(self, vectors):
         with pytest.raises(EncodingError):
-            pairwise_hamming(vectors[0])
+            pairwise_hamming_blocked(vectors[0])
 
 
 class TestQueryDistance:
     def test_matches_pairwise_row(self, vectors):
-        matrix = pairwise_hamming(vectors)
+        matrix = pairwise_hamming_blocked(vectors)
         row = hamming_to_query(vectors, vectors[3])
         np.testing.assert_array_equal(row, matrix[3])
 
@@ -111,7 +112,7 @@ class TestCondensedLayout:
             condensed_index(2, 2, 4)
 
     def test_condensed_matches_dense(self, vectors):
-        dense = pairwise_hamming(vectors)
+        dense = pairwise_hamming_blocked(vectors)
         condensed = condensed_pairwise_hamming(vectors)
         n = vectors.shape[0]
         assert condensed.shape == (n * (n - 1) // 2,)
@@ -121,7 +122,7 @@ class TestCondensedLayout:
                 assert condensed[condensed_index(i, j, n)] == dense[i, j]
 
     def test_squareform_roundtrip(self, vectors):
-        dense = pairwise_hamming(vectors).astype(np.float64)
+        dense = pairwise_hamming_blocked(vectors).astype(np.float64)
         condensed = condensed_pairwise_hamming(vectors)
         recovered = squareform(condensed, vectors.shape[0])
         np.testing.assert_array_equal(recovered, dense)
@@ -133,7 +134,7 @@ class TestCondensedLayout:
 
 class TestNormalization:
     def test_normalized_range(self, vectors):
-        matrix = pairwise_hamming(vectors)
+        matrix = pairwise_hamming_blocked(vectors)
         normalised = normalized_hamming(matrix, 256)
         assert normalised.max() <= 1.0
         assert normalised.min() >= 0.0
@@ -147,17 +148,12 @@ class TestDistanceDtypeOverflowGuard:
     """Regression: dim > 65535 would silently wrap the uint16 distances."""
 
     def test_condensed_rejects_oversized_dim(self):
-        from repro.hdc import (
-            MAX_CONDENSED_DIM,
-            condensed_pairwise_hamming_blocked,
-        )
+        from repro.hdc import MAX_CONDENSED_DIM
 
         # 1024 words = 65536 bits: one past the uint16-losslessness limit.
         vectors = np.zeros((2, 1024), dtype=np.uint64)
         with pytest.raises(EncodingError):
             condensed_pairwise_hamming(vectors)
-        with pytest.raises(EncodingError):
-            condensed_pairwise_hamming_blocked(vectors)
         assert MAX_CONDENSED_DIM == 65535
 
     def test_condensed_accepts_boundary_dim(self):
@@ -166,3 +162,31 @@ class TestDistanceDtypeOverflowGuard:
         vectors[0, :] = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
         condensed = condensed_pairwise_hamming(vectors)
         assert condensed.tolist() == [1023 * 64]
+
+
+class TestWidthMismatch:
+    """Packed operands of different word counts are an EncodingError."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda a, b: hamming_distance(a[:, None, :], b[None, :, :]),
+            lambda a, b: hamming_to_query(a, b[0]),
+            lambda a, b: hamming_cross(a, b),
+        ],
+        ids=["hamming_distance", "hamming_to_query", "hamming_cross"],
+    )
+    def test_raises_encoding_error(self, kernel, vectors):
+        with pytest.raises(EncodingError, match="word-count mismatch"):
+            kernel(vectors, vectors[:, :3])
+
+
+class TestResultDtypes:
+    def test_distances_are_int64_condensed_is_uint16(self, vectors):
+        # uint64 distances would promote to float64 against int64 ones.
+        assert hamming_distance(vectors, vectors[:1]).dtype == np.int64
+        assert hamming_distance(vectors[0], vectors[1]).dtype == np.int64
+        assert hamming_to_query(vectors, vectors[0]).dtype == np.int64
+        assert hamming_cross(vectors, vectors).dtype == np.int64
+        assert pairwise_hamming_blocked(vectors).dtype == np.int64
+        assert condensed_pairwise_hamming(vectors).dtype == np.uint16

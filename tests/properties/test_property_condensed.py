@@ -1,9 +1,9 @@
 """Property-based tests for the condensed layout and the fast kernels.
 
 Complements ``test_property_hdc.py`` (pack/unpack round-trip, metric
-axioms on the reference kernel) with the condensed-index ↔ squareform
-consistency contract and fast-path/reference equivalence under random
-shapes and block sizes.
+axioms) with the condensed-index ↔ squareform consistency contract and
+kernel/oracle equivalence (``repro.testing.oracles``) under random shapes
+and block sizes.
 """
 
 from __future__ import annotations
@@ -12,17 +12,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.hdc import (
-    accumulate_bit_counts,
     condensed_index,
     condensed_pairwise_hamming,
-    condensed_pairwise_hamming_blocked,
-    expand_bits,
     pack_bits,
-    pairwise_hamming,
     pairwise_hamming_blocked,
     squareform,
-    unpack_bits,
 )
+from repro.testing import oracles
 
 
 @st.composite
@@ -44,7 +40,7 @@ class TestCondensedSquareformConsistency:
     @settings(max_examples=50, deadline=None)
     def test_condensed_index_matches_dense(self, vectors):
         n = vectors.shape[0]
-        dense = pairwise_hamming(vectors)
+        dense = pairwise_hamming_blocked(vectors)
         condensed = condensed_pairwise_hamming(vectors)
         for i in range(n):
             for j in range(n):
@@ -60,15 +56,15 @@ class TestCondensedSquareformConsistency:
         condensed = condensed_pairwise_hamming(vectors)
         dense = squareform(condensed, n)
         np.testing.assert_array_equal(
-            dense, pairwise_hamming(vectors).astype(np.float64)
+            dense, oracles.pairwise_hamming(vectors).astype(np.float64)
         )
 
-    @given(vectors=packed_matrices())
+    @given(vectors=packed_matrices(), block_rows=st.integers(1, 9))
     @settings(max_examples=50, deadline=None)
-    def test_condensed_blocked_equals_reference(self, vectors):
+    def test_condensed_blocked_equals_reference(self, vectors, block_rows):
         np.testing.assert_array_equal(
-            condensed_pairwise_hamming_blocked(vectors),
-            condensed_pairwise_hamming(vectors),
+            condensed_pairwise_hamming(vectors, block_rows=block_rows),
+            oracles.condensed_pairwise_hamming(vectors),
         )
 
 
@@ -81,7 +77,7 @@ class TestBlockedKernelProperties:
     def test_blocked_equals_reference_any_block(self, vectors, block_rows):
         np.testing.assert_array_equal(
             pairwise_hamming_blocked(vectors, block_rows=block_rows),
-            pairwise_hamming(vectors),
+            oracles.pairwise_hamming(vectors),
         )
 
     @given(vectors=packed_matrices(max_rows=6))
@@ -121,7 +117,7 @@ class TestWordLevelAccumulation:
         bits, sizes, dim = data
         packed = pack_bits(bits)
         starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        counts = accumulate_bit_counts(packed, starts, dim)
+        counts = oracles.accumulate_bit_counts(packed, starts, dim)
         row = 0
         for group, size in enumerate(sizes):
             np.testing.assert_array_equal(
@@ -129,14 +125,3 @@ class TestWordLevelAccumulation:
                 bits[row : row + size].sum(axis=0, dtype=np.int64),
             )
             row += size
-
-    @given(bits_dim=st.integers(1, 200), rows=st.integers(1, 6))
-    @settings(max_examples=40, deadline=None)
-    def test_expand_bits_roundtrip(self, bits_dim, rows):
-        rng = np.random.default_rng(bits_dim * 1000 + rows)
-        bits = rng.integers(0, 2, size=(rows, bits_dim), dtype=np.uint8)
-        packed = pack_bits(bits)
-        np.testing.assert_array_equal(expand_bits(packed, bits_dim), bits)
-        np.testing.assert_array_equal(
-            expand_bits(packed, bits_dim), unpack_bits(packed, bits_dim)
-        )

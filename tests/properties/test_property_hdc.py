@@ -7,7 +7,7 @@ from repro.hdc import (
     hamming_distance,
     majority_bundle,
     pack_bits,
-    pairwise_hamming,
+    pairwise_hamming_blocked,
     popcount,
     unpack_bits,
     words_for_dim,
@@ -50,7 +50,7 @@ class TestHammingMetricAxioms:
     @settings(max_examples=40, deadline=None)
     def test_identity_symmetry_triangle(self, bits):
         packed = pack_bits(bits)
-        matrix = pairwise_hamming(packed)
+        matrix = pairwise_hamming_blocked(packed)
         n = bits.shape[0]
         # Identity and symmetry.
         assert np.all(np.diag(matrix) == 0)

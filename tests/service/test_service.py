@@ -291,6 +291,15 @@ class TestWriterAndCheckpointer:
             info = service.info()
             assert "disk full" in info["service"]["last_checkpoint_error"]
 
+    def test_info_and_metrics_carry_kernel_record(self, populated_repo):
+        from repro.hdc.kernels import kernel_runtime
+
+        with make_service(populated_repo) as service:
+            service.start()
+            with ServiceClient(port=service.port) as client:
+                assert client.info()["kernel"] == kernel_runtime()
+                assert client.metrics()["kernel"] == kernel_runtime()
+
 
 class TestProtocolCodecs:
     @staticmethod

@@ -151,6 +151,30 @@ class TestRepoInfoCommand:
         assert len(record["shards"]) == 3
         assert record["encoder"]["dim"] == 1024
 
+    def test_reports_the_one_popcount(self, mgf_fixture, capsys):
+        import json
+
+        import numpy as np
+
+        directory, input_path, _ = mgf_fixture
+        repo = directory / "repo-info-kernel"
+        assert main(ingest_args(repo, input_path)) == 0
+        capsys.readouterr()
+        assert main(["repo-info", str(repo)]) == 0
+        kernel_lines = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("kernels")
+        ]
+        assert kernel_lines == [
+            f"kernels    : numpy.bitwise_count (numpy {np.__version__})"
+        ]
+        assert main(["repo-info", str(repo), "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["kernel"] == {
+            "popcount": "numpy.bitwise_count",
+            "numpy": np.__version__,
+        }
+
 
 class TestQueryCommand:
     def test_round_trip(self, mgf_fixture, capsys):

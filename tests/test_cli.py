@@ -118,6 +118,33 @@ class TestProjectCommand:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["ingest"], ["query"], ["serve"], ["route", "serve"]],
+    ids=["ingest", "query", "serve", "route-serve"],
+)
+class TestNoKernelTierOption:
+    """One popcount, no backend switch: the retired flag is an error."""
+
+    def test_help_omits_and_parser_rejects_kernel_tier(
+        self, command, capsys
+    ):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*command, "--help"])
+        assert exit_info.value.code == 0
+        help_text = capsys.readouterr().out
+        assert help_text.startswith(f"usage: repro {' '.join(command)}")
+        assert "--kernel-tier" not in help_text
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                [*command, "target", "--kernel-tier", "numpy"]
+            )
+        assert exit_info.value.code == 2
+        assert "--kernel-tier" in capsys.readouterr().err
+
+
 class TestDatasetsCommand:
     def test_lists_all_five(self, capsys):
         assert main(["datasets"]) == 0
