@@ -71,7 +71,7 @@ INGEST_RATE = 500.0
 
 
 def _make_medoids(rng, count):
-    """Replicate-structured packed vectors (bench_query_engine's shape)."""
+    """Replicate-structured packed vectors: families of near-duplicates."""
     words = DIM // 64
     num_bases = max(1, count // FAMILY_SIZE)
     bases = rng.integers(

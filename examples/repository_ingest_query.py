@@ -77,7 +77,7 @@ def main() -> None:
         f"{reopened.num_clusters} clusters on "
         f"{reopened.num_shards} shards"
     )
-    with QueryService(reopened, execution_backend="threads") as service:
+    with QueryService(reopened) as service:
         for matches in service.query(run_c[:3], k=3):
             print("query top-3:")
             for match in matches:

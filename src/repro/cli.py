@@ -242,26 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", type=Path, default=None,
         help="write matches as TSV instead of printing",
     )
-    query.add_argument(
-        "--backend", default="serial",
-        choices=("serial", "threads", "processes"),
-        help="execution backend for the shard fan-out (default serial)",
-    )
-    query.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for threads/processes backends",
-    )
-    query.add_argument(
-        "--index", default="auto", choices=("auto", "on", "off"),
-        help="bit-slice medoid index: auto prunes shards with enough "
-             "medoids, on forces it everywhere, off scans densely "
-             "(results are identical either way; default auto)",
-    )
-    query.add_argument(
-        "--probe-bits", type=int, default=None,
-        help="sampled bit planes per shard index "
-             "(default: the repository manifest's setting)",
-    )
 
     repo_info = subparsers.add_parser(
         "repo-info", help="summarise a cluster repository directory"
@@ -292,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--backend", default="serial",
         choices=("serial", "threads", "processes"),
-        help="execution backend for query fan-out and leftover "
-             "clustering (default serial)",
+        help="execution backend for leftover clustering (default serial)",
     )
     serve.add_argument(
         "--workers", type=int, default=None,
@@ -322,11 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-wal-bytes", type=int, default=256 * 1024 * 1024,
         help="shed ingest once the WAL backlog exceeds this many bytes "
              "(default 256 MiB)",
-    )
-    serve.add_argument(
-        "--index", default="auto", choices=("auto", "on", "off"),
-        help="bit-slice medoid index policy for the query path "
-             "(default auto)",
     )
     serve.add_argument(
         "--retain-generations", type=int, default=2,
@@ -821,16 +795,7 @@ def _query_service_context(args: argparse.Namespace):
                 args.repository, recover_wal=False
             )
         try:
-            with QueryService(
-                source,
-                execution_backend=args.backend,
-                num_workers=args.workers,
-                use_index={"auto": None, "on": True, "off": False}[
-                    args.index
-                ],
-                probe_bits=args.probe_bits,
-            ) as service:
-                yield service.query
+            yield QueryService(source).query
         finally:
             if hasattr(source, "close"):
                 source.close()
@@ -839,25 +804,6 @@ def _query_service_context(args: argparse.Namespace):
     def remote(address: str, flag: str):
         from .service import ServiceClient
 
-        # Scan-path knobs belong to the daemon's configuration; warn so
-        # a user passing them with --remote/--router knows they did
-        # nothing.
-        ignored = [
-            name
-            for name, value, default in (
-                ("--backend", args.backend, "serial"),
-                ("--workers", args.workers, None),
-                ("--index", args.index, "auto"),
-                ("--probe-bits", args.probe_bits, None),
-            )
-            if value != default
-        ]
-        if ignored:
-            print(
-                f"warning: {', '.join(ignored)} ignored with {flag} — "
-                "the serving side's own settings govern the scan path",
-                file=sys.stderr,
-            )
         host, port = _parse_address(address, flag)
         with ServiceClient(host, port) as client:
             yield client.query
@@ -888,9 +834,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     if args.top_k < 1:
         print("error: --top-k must be >= 1", file=sys.stderr)
-        return 2
-    if args.probe_bits is not None and args.probe_bits < 1:
-        print("error: --probe-bits must be >= 1", file=sys.stderr)
         return 2
     sources = sum(
         source is not None
@@ -1038,7 +981,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         coalesce_window_ms=args.coalesce_window_ms,
         coalesce_max_rows=args.coalesce_max_rows,
         max_wal_bytes=args.max_wal_bytes,
-        use_index={"auto": None, "on": True, "off": False}[args.index],
         retain_generations=args.retain_generations,
         verify=args.verify,
         scrub_interval=args.scrub_interval,

@@ -21,9 +21,6 @@ Backends
     CPU-bound Python sections at the price of pickling work items; the
     mapped function and its arguments must be picklable (top-level
     functions and numpy arrays are).
-
-Workers need no per-process setup: there is one kernel implementation,
-so :meth:`ExecutionPool.warm_up` only pays the spawn cost up front.
 """
 
 from __future__ import annotations
@@ -39,11 +36,6 @@ EXECUTION_BACKENDS = ("serial", "threads", "processes")
 
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
-
-
-def _spawn_probe(item: int) -> int:
-    """No-op task :meth:`ExecutionPool.warm_up` maps to spawn workers."""
-    return item
 
 
 def validate_backend(backend: str) -> str:
@@ -97,15 +89,13 @@ def execution_map(
 
 
 class ExecutionPool:
-    """A reusable executor with :func:`execution_map` semantics.
+    """A reusable executor for long-lived tasks on one backend.
 
     :func:`execution_map` spins a pool up and tears it down per call, which
-    is the right trade-off for one-shot bucket fan-outs but wasteful for a
-    long-lived serving path that issues many small fan-outs (the repository
-    query service fans every query batch out across shards).  This class
-    keeps one pool alive across calls; ``map`` returns results in input
-    order exactly like :func:`execution_map`, so the two are
-    interchangeable for deterministic callers.
+    is the right trade-off for one-shot bucket fan-outs.  The streaming
+    ingest stage graph instead submits long-lived producer tasks and
+    consumes their output as it arrives, so this class keeps one pool
+    alive across :meth:`submit` calls.
 
     Usable as a context manager; ``close`` is idempotent, and a ``serial``
     pool never allocates an executor at all.
@@ -131,59 +121,17 @@ class ExecutionPool:
                 self._executor = ProcessPoolExecutor(max_workers=self.workers)
         return self._executor
 
-    def warm_up(self) -> None:
-        """Eagerly spawn the executor.
-
-        Pools are created lazily on first dispatch, which is right for
-        one-shot CLI runs but wrong for a serving daemon: the first
-        client query would pay the whole thread/process spawn (and, for
-        ``processes``, interpreter + import) cost.  Daemons call this at
-        startup so the first request is as fast as the thousandth.
-        """
-        if self._closed:
-            raise ConfigurationError("execution pool is closed")
-        if self.is_inline:
-            return
-        executor = self._ensure_executor()
-        if self.backend == "processes":
-            # One probe per worker: ProcessPoolExecutor may spawn workers
-            # on demand, which would defer the spawn to the first task.
-            list(executor.map(_spawn_probe, range(self.workers)))
-
     @property
     def is_inline(self) -> bool:
-        """True when :meth:`map` always runs items in the calling thread.
-
-        Lets callers skip work that only pays off under real fan-out —
-        e.g. the query service neither writes worker snapshots nor
-        dispatches tasks when the pool would just loop inline anyway.
-        """
+        """True when :meth:`submit` runs calls in the calling thread."""
         return self.backend == "serial" or self.workers == 1
-
-    def map(
-        self,
-        function: Callable[[_ItemT], _ResultT],
-        items: Sequence[_ItemT],
-    ) -> List[_ResultT]:
-        """Map ``function`` over ``items``, preserving input order."""
-        if self._closed:
-            raise ConfigurationError("execution pool is closed")
-        if not items:
-            return []
-        if (
-            self.backend == "serial"
-            or self.workers == 1
-            or len(items) == 1
-        ):
-            return [function(item) for item in items]
-        return list(self._ensure_executor().map(function, items))
 
     def submit(self, function: Callable[..., _ResultT], *args) -> Future:
         """Schedule one call, returning its :class:`Future`.
 
         This is the building block the streaming ingest stage graph uses
-        for long-lived producer tasks, where :meth:`map`'s run-to-
-        completion semantics would serialise the pipeline.  An inline
+        for long-lived producer tasks, where a run-to-completion map
+        would serialise the pipeline.  An inline
         pool (``serial`` backend or one worker) executes the call
         immediately in the calling thread and returns an already-resolved
         future, so callers need no backend-specific branches — but note

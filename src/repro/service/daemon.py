@@ -78,7 +78,6 @@ from ..errors import (
     ServiceBusy,
     ServiceError,
 )
-from ..execution import ExecutionPool
 from ..hdc.kernels import kernel_runtime
 from ..logging import get_logger
 from ..spectrum import MassSpectrum
@@ -116,7 +115,8 @@ class ServiceConfig:
     #: 0 binds an ephemeral port; read :attr:`ClusterService.port` after
     #: :meth:`~ClusterService.start`.
     port: int = 0
-    #: Query fan-out backend shared by every snapshot's query service.
+    #: Execution backend of the writer's leftover clustering (ingest,
+    #: heal and pushed-generation reopens).  Queries scan inline.
     backend: str = "serial"
     workers: Optional[int] = None
     #: Seconds between checkpointer wake-ups.
@@ -133,8 +133,6 @@ class ServiceConfig:
     max_pending_queries: int = 1024
     #: Ingest is shed once the WAL backlog exceeds this many bytes.
     max_wal_bytes: int = 256 * 1024 * 1024
-    #: Forwarded to every :class:`QueryService` (None = manifest auto).
-    use_index: Optional[bool] = None
     #: Superseded snapshot leases kept alive after a swap (most recent
     #: first).  A retained lease pins its generation on disk and keeps
     #: serving generation-pinned queries — the fleet router uses this to
@@ -296,7 +294,6 @@ class _SnapshotLease:
             self._close()
 
     def _close(self) -> None:
-        self.service.close()
         self.snapshot.close()
 
 
@@ -382,8 +379,6 @@ class ClusterService:
         #: the node unhealthy.
         self._quarantined: Dict[int, str] = {}
         self._quarantine_lock = threading.Lock()
-        self._pool = ExecutionPool(config.backend, config.workers)
-        self._pool.warm_up()
         # Per-connection-thread encoder clones: the shared item memory is
         # read-only, scratch is private (IDLevelEncoder.clone()).
         self._thread_encoders = threading.local()
@@ -437,12 +432,7 @@ class ClusterService:
         at different moments.
         """
         snapshot = self.repository.snapshot()
-        service = QueryService(
-            snapshot,
-            use_index=self.config.use_index,
-            pool=self._pool,
-        )
-        lease = _SnapshotLease(snapshot, service)
+        lease = _SnapshotLease(snapshot, QueryService(snapshot))
         to_retire: List[_SnapshotLease] = []
         with self._lease_lock:
             old, self._lease = self._lease, lease
@@ -837,9 +827,7 @@ class ClusterService:
         share one kernel pass.  Sheds with :class:`ServiceBusy` when the
         pending queue is full.
         """
-        vectors = np.asarray(vectors, dtype=np.uint64)
-        if vectors.ndim != 2:
-            raise ServiceError("query vectors must be a (n, words) matrix")
+        vectors = self._admitted_vectors(vectors)
         if vectors.shape[0] == 0 or k < 1:
             return MatchTable.empty(vectors.shape[0])
         if not self._started:
@@ -875,9 +863,7 @@ class ClusterService:
         current snapshot; a specific generation must be the serving one
         or one still retained (see ``ServiceConfig.retain_generations``).
         """
-        vectors = np.asarray(vectors, dtype=np.uint64)
-        if vectors.ndim != 2:
-            raise ServiceError("query vectors must be a (n, words) matrix")
+        vectors = self._admitted_vectors(vectors)
         if vectors.shape[0] == 0 or k < 1:
             lease = self._acquire_lease(generation)
             try:
@@ -888,6 +874,24 @@ class ClusterService:
         return self._direct_query(
             vectors, k, shards=shards, generation=generation
         )
+
+    def _admitted_vectors(self, vectors: np.ndarray) -> np.ndarray:
+        """The caller's query matrix, or a :class:`ServiceError` for it.
+
+        Checked before a query can coalesce: a matrix of the wrong width
+        would otherwise fail the whole shared pass, and with it every
+        well-formed query it was batched with.
+        """
+        vectors = np.asarray(vectors, dtype=np.uint64)
+        if vectors.ndim != 2:
+            raise ServiceError("query vectors must be a (n, words) matrix")
+        words = self.repository.encoder.words
+        if vectors.shape[1] != words:
+            raise ServiceError(
+                f"query vectors have {vectors.shape[1]} words per row; "
+                f"this repository's hypervectors have {words}"
+            )
+        return vectors
 
     def _direct_query(
         self,
@@ -1327,7 +1331,6 @@ class ClusterService:
                 self.repository.sweep()
             except OSError:
                 pass
-            self._pool.close()
             self.repository.close()
 
     def _drain_queue(self) -> None:

@@ -18,8 +18,7 @@ a durable substrate.  This package provides it:
 ``repro.store.query``
     :class:`QueryService` — batched top-k nearest clusters by packed
     Hamming distance against shard medoids (one cross-Hamming pass per
-    shard per batch), fanned out across shards on the
-    :mod:`repro.execution` backends.
+    shard per batch, shards scanned in the calling thread).
 ``repro.store.matches``
     :class:`MatchTable` — a query answer as flat columns from shard
     scan to client, rows of :class:`ClusterMatch` materialised on

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -51,16 +51,18 @@ from ..hdc.bitops import (
     pack_bits,
 )
 
-#: Default number of sampled bit planes per shard index.  Pruning needs
-#: the sampled-mismatch count of a *far* medoid (~probe_bits / 2) to
-#: exceed the k-th nearest exact distance, so deeper probing widens the
+#: Number of sampled bit planes per shard index.  Pruning needs the
+#: sampled-mismatch count of a *far* medoid (~probe_bits / 2) to exceed
+#: the k-th nearest exact distance, so deeper probing widens the
 #: workloads the filter can prune; 256 planes prune replicate-style
 #: serving at the common dimensionalities while costing a quarter of a
 #: dense scan at D_hv = 1024 (an eighth at 2048).
-DEFAULT_PROBE_BITS = 256
+PROBE_BITS = 256
 
-#: Default medoid count below which serving skips the index entirely.
-DEFAULT_MIN_MEDOIDS = 1024
+#: Medoid count from which a shard is indexed and served through its
+#: index; smaller shards scan densely, where probing costs more than it
+#: prunes.
+INDEX_MIN_MEDOIDS = 1024
 
 #: Format version written into an index file's metadata record.
 INDEX_FORMAT_VERSION = 1
@@ -84,6 +86,41 @@ _QUERY_BLOCK_BYTES = 1 << 24
 
 #: Candidate pairs verified per gather chunk in :meth:`topk`.
 _FLAT_CHUNK = 1 << 18
+
+
+def worth_indexing(medoid_count: int) -> bool:
+    """Whether a shard of ``medoid_count`` medoids is served indexed.
+
+    The one rule both the checkpoint (which persists indexes) and the
+    query service (which scans through them) apply.
+    """
+    return medoid_count >= INDEX_MIN_MEDOIDS
+
+
+def index_path(generation_dir: Union[str, Path], shard_id: int) -> Path:
+    """Where a checkpoint stores one shard's bit-slice index."""
+    return Path(generation_dir) / f"shard-{shard_id:04d}.index.npz"
+
+
+def load_checkpointed_indexes(
+    generation_dir: Union[str, Path], num_shards: int
+) -> Dict[int, "BitSliceMedoidIndex"]:
+    """Every shard index a checkpoint persisted in ``generation_dir``.
+
+    The files are a derived cache: a shard without one (too few medoids)
+    or with an unreadable one is left out, and the query service builds
+    its index from the medoids.
+    """
+    indexes: Dict[int, BitSliceMedoidIndex] = {}
+    for shard_id in range(num_shards):
+        path = index_path(generation_dir, shard_id)
+        if not path.exists():
+            continue
+        try:
+            indexes[shard_id] = BitSliceMedoidIndex.load(path)
+        except ParseError:
+            continue
+    return indexes
 
 
 def batched_topk(
@@ -146,7 +183,7 @@ class BitSliceMedoidIndex:
         cls,
         vectors: np.ndarray,
         dim: int,
-        probe_bits: int = DEFAULT_PROBE_BITS,
+        probe_bits: int = PROBE_BITS,
     ) -> "BitSliceMedoidIndex":
         """Index a packed medoid matrix (``probe_bits`` capped at ``dim``)."""
         vectors = np.asarray(vectors, dtype=np.uint64)

@@ -20,15 +20,6 @@ from ..errors import ParseError
 from ..hdc import EncoderConfig
 from ..spectrum import BucketingConfig, PreprocessingConfig
 from . import fsio
-from .index import DEFAULT_MIN_MEDOIDS, DEFAULT_PROBE_BITS
-
-
-def _default_query_index() -> Dict[str, int]:
-    """Default bit-slice query-index settings for new repositories."""
-    return {
-        "probe_bits": DEFAULT_PROBE_BITS,
-        "min_medoids": DEFAULT_MIN_MEDOIDS,
-    }
 
 #: Format version of the repository directory layout.
 MANIFEST_VERSION = 1
@@ -50,7 +41,6 @@ class RepositoryManifest:
     bucketing: BucketingConfig = field(default_factory=BucketingConfig)
     cluster_threshold: float = 0.3
     linkage: str = "complete"
-    query_index: Dict[str, int] = field(default_factory=_default_query_index)
     generation: int = 0
     applied_seq: int = 0
     num_spectra: int = 0
@@ -95,12 +85,6 @@ class RepositoryManifest:
                 applied_seq=int(record["applied_seq"]),
                 num_spectra=int(record["num_spectra"]),
                 num_clusters=int(record["num_clusters"]),
-                query_index={
-                    str(key): int(value)
-                    for key, value in record.get(
-                        "query_index", _default_query_index()
-                    ).items()
-                },
                 shard_counts={
                     str(key): int(value)
                     for key, value in record.get("shard_counts", {}).items()

@@ -50,9 +50,10 @@ from ..spectrum import (
 )
 from . import fsio
 from .index import (
-    DEFAULT_MIN_MEDOIDS,
-    DEFAULT_PROBE_BITS,
     BitSliceMedoidIndex,
+    index_path,
+    load_checkpointed_indexes,
+    worth_indexing,
 )
 from .integrity import (
     check_verify_policy,
@@ -95,8 +96,6 @@ class RepositoryConfig:
     bucketing: BucketingConfig = field(default_factory=BucketingConfig)
     cluster_threshold: float = 0.3
     linkage: str = "complete"
-    index_probe_bits: int = DEFAULT_PROBE_BITS
-    index_min_medoids: int = DEFAULT_MIN_MEDOIDS
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -107,10 +106,6 @@ class RepositoryConfig:
             raise ConfigurationError(
                 "cluster_threshold must be a normalised distance in [0, 1]"
             )
-        if self.index_probe_bits < 1:
-            raise ConfigurationError("index_probe_bits must be >= 1")
-        if self.index_min_medoids < 1:
-            raise ConfigurationError("index_min_medoids must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -213,10 +208,6 @@ class ClusterRepository:
             bucketing=config.bucketing,
             cluster_threshold=config.cluster_threshold,
             linkage=config.linkage,
-            query_index={
-                "probe_bits": config.index_probe_bits,
-                "min_medoids": config.index_min_medoids,
-            },
         )
         manifest.save(directory)
         (directory / WAL_NAME).touch()
@@ -305,20 +296,9 @@ class ClusterRepository:
         loaded_indexes: Dict[int, BitSliceMedoidIndex] = {}
         if manifest.generation > 0:
             repository._load_catalog(generation_dir)
-            for shard_id in range(manifest.num_shards):
-                index_path = (
-                    generation_dir / f"shard-{shard_id:04d}.index.npz"
-                )
-                if not index_path.exists():
-                    continue
-                try:
-                    loaded_indexes[shard_id] = BitSliceMedoidIndex.load(
-                        index_path
-                    )
-                except Exception:
-                    # Derived cache only: an unreadable index file is
-                    # rebuilt on demand by the query service.
-                    continue
+            loaded_indexes = load_checkpointed_indexes(
+                generation_dir, manifest.num_shards
+            )
         repository._replay_wal(recover=recover_wal)
         if loaded_indexes and repository.version == 0:
             # WAL replay applied nothing, so the checkpointed medoids —
@@ -891,28 +871,23 @@ class ClusterRepository:
     ) -> Dict[int, BitSliceMedoidIndex]:
         """Build and persist bit-slice query indexes for eligible shards.
 
-        Shards below the manifest's ``min_medoids`` are skipped — serving
-        them brute-force is faster than probing.  The saved files ride in
-        the generation directory, so the existing fsync + sweep logic of
-        :meth:`checkpoint` covers them.
+        Shards the query service scans densely (see
+        :func:`~repro.store.index.worth_indexing`) are skipped.  The saved
+        files ride in the generation directory, so the existing fsync +
+        sweep logic of :meth:`checkpoint` covers them.
         """
-        settings = self.manifest.query_index
-        probe_bits = int(settings.get("probe_bits", DEFAULT_PROBE_BITS))
-        min_medoids = int(settings.get("min_medoids", DEFAULT_MIN_MEDOIDS))
         indexes: Dict[int, BitSliceMedoidIndex] = {}
         for shard_id, shard in enumerate(self._shards):
             rows_by_label = shard.medoid_rows()
-            if len(rows_by_label) < min_medoids:
+            if not worth_indexing(len(rows_by_label)):
                 continue
             medoid_rows = [
                 rows_by_label[label] for label in sorted(rows_by_label)
             ]
             index = BitSliceMedoidIndex.build(
-                shard.vectors_at(medoid_rows),
-                self.encoder.dim,
-                probe_bits=probe_bits,
+                shard.vectors_at(medoid_rows), self.encoder.dim
             )
-            index.save(generation_dir / f"shard-{shard_id:04d}.index.npz")
+            index.save(index_path(generation_dir, shard_id))
             indexes[shard_id] = index
         return indexes
 

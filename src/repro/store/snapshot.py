@@ -45,7 +45,7 @@ import numpy as np
 from ..errors import ConfigurationError, IntegrityError, SpecHDError
 from ..hdc import IDLevelEncoder
 from ..incremental import IncrementalClusterStore
-from .index import BitSliceMedoidIndex
+from .index import BitSliceMedoidIndex, load_checkpointed_indexes
 from .manifest import RepositoryManifest
 
 #: Directory (inside a repository) holding generation pin files.
@@ -333,7 +333,6 @@ class RepositorySnapshot:
 
         shared = encoder or IDLevelEncoder(manifest.encoder)
         shards: List[IncrementalClusterStore] = []
-        query_indexes: Dict[int, BitSliceMedoidIndex] = {}
         generation_dir = ClusterRepository._generation_dir(
             directory, manifest.generation
         )
@@ -347,18 +346,6 @@ class RepositorySnapshot:
                         mmap=True,
                     )
                 )
-                index_path = (
-                    generation_dir / f"shard-{shard_id:04d}.index.npz"
-                )
-                if index_path.exists():
-                    try:
-                        query_indexes[shard_id] = BitSliceMedoidIndex.load(
-                            index_path
-                        )
-                    except Exception:
-                        # Derived cache only: the query service rebuilds
-                        # an unreadable index from the medoids.
-                        pass
             else:
                 shards.append(
                     IncrementalClusterStore(
@@ -370,6 +357,11 @@ class RepositorySnapshot:
                         encoder=shared,
                     )
                 )
+        query_indexes = (
+            load_checkpointed_indexes(generation_dir, manifest.num_shards)
+            if manifest.generation > 0
+            else {}
+        )
         snapshot = cls(
             directory, manifest, shards, shared, pin_path, query_indexes
         )

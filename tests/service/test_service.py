@@ -174,6 +174,52 @@ class TestCoalescing:
             assert small.future.result(timeout=5) == solo_small
             assert large.future.result(timeout=5) == solo_large
 
+    @pytest.mark.parametrize("bad_words", [8, 32])
+    def test_malformed_query_fails_only_its_caller(
+        self, populated_repo, service_dataset, bad_words
+    ):
+        """A wrong-width query coalesced with a good one must not take the
+        good one's pass down with it."""
+        queries = queries_of(service_dataset)
+        with make_service(
+            populated_repo, coalesce_window_ms=300.0
+        ) as service:
+            service.start()
+            good = service.repository.encoder.encode_batch(queries)
+            assert bad_words != good.shape[1]
+            bad = np.zeros((2, bad_words), dtype=np.uint64)
+            expected = service.query_vectors(good, k=3)
+            outcomes = {}
+
+            def run(name, vectors):
+                try:
+                    outcomes[name] = service.query_vectors(vectors, k=3)
+                except BaseException as exc:
+                    outcomes[name] = exc
+
+            threads = [
+                threading.Thread(target=run, args=("good", good)),
+                threading.Thread(target=run, args=("bad", bad)),
+            ]
+            for thread in threads:
+                thread.start()
+                time.sleep(0.05)  # both inside one coalesce window
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert outcomes["good"] == expected
+            assert isinstance(outcomes["bad"], ServiceError)
+            assert "words" in str(outcomes["bad"])
+            with pytest.raises(ServiceError, match="words"):
+                service.query_vectors_at(bad, k=3)
+
+    def test_wrong_width_is_a_service_error_without_dispatcher(
+        self, populated_repo
+    ):
+        with make_service(populated_repo) as service:
+            with pytest.raises(ServiceError, match="words"):
+                service.query_vectors(np.zeros((1, 3), dtype=np.uint64))
+
     def test_failed_pass_propagates_to_every_caller(self, populated_repo):
         with make_service(populated_repo) as service:
             bad = _PendingQuery(

@@ -28,6 +28,7 @@ from repro.store import (
     RepositoryConfig,
     merge_topk,
 )
+from repro.testing import oracles
 
 NUM_SHARDS = 4
 
@@ -135,7 +136,7 @@ class TestMergeIsPartitionInvariant:
         full = service.query_vectors(vectors, k)
         merged = merge_topk(partials, k)
         assert merged == full
-        assert merged == service.query_vectors_reference(vectors, k)
+        assert merged == oracles.query_matches(service, vectors, k)
         assert as_lists(merged) == sorted_union(partials, k)
 
     @given(picks=queries_and_k, trim=st.integers(0, 70))

@@ -70,18 +70,31 @@ class TestQueries:
             ) == []
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
-class TestBackendInvariance:
-    def test_all_backends_identical(
-        self, populated, repo_dataset, backend
-    ):
-        with QueryService(populated) as reference:
-            expected = reference.query(repo_dataset.spectra[:8], k=4)
-        with QueryService(
-            populated, execution_backend=backend, num_workers=2
-        ) as service:
-            actual = service.query(repo_dataset.spectra[:8], k=4)
-        assert actual == expected
+class TestOneScanPath:
+    def test_no_option_selects_a_scan_path(self):
+        import dataclasses
+        import inspect
+
+        from repro.service import ServiceConfig
+        from repro.store import RepositoryConfig
+
+        assert list(inspect.signature(QueryService).parameters) == [
+            "repository"
+        ]
+        assert "use_index" not in {
+            f.name for f in dataclasses.fields(ServiceConfig)
+        }
+        assert not {
+            f.name for f in dataclasses.fields(RepositoryConfig)
+        } & {"index_probe_bits", "index_min_medoids"}
+
+    def test_index_threshold_is_the_medoid_count(self):
+        from repro.store.index import INDEX_MIN_MEDOIDS, worth_indexing
+
+        assert not worth_indexing(0)
+        assert not worth_indexing(INDEX_MIN_MEDOIDS - 1)
+        assert worth_indexing(INDEX_MIN_MEDOIDS)
+        assert worth_indexing(20_000)
 
 
 class TestIndexMaintenance:

@@ -412,3 +412,37 @@ class TestCheckpoint:
         assert manifest.num_spectra == len(repository)
         assert manifest.num_clusters == repository.num_clusters
         assert sum(manifest.shard_counts.values()) == len(repository)
+
+    def test_saved_manifest_has_no_query_index_key(
+        self, tmp_path, repo_config
+    ):
+        import json
+
+        from repro.store.manifest import MANIFEST_NAME
+
+        ClusterRepository.create(tmp_path / "repo", repo_config)
+        record = json.loads((tmp_path / "repo" / MANIFEST_NAME).read_text())
+        assert "query_index" not in record
+
+    def test_manifest_with_query_index_key_still_opens(
+        self, tmp_path, repo_config, repo_dataset
+    ):
+        import json
+
+        from repro.store.manifest import MANIFEST_NAME
+
+        directory = tmp_path / "repo"
+        repository = ClusterRepository.create(directory, repo_config)
+        repository.add_batch(repo_dataset.spectra)
+        repository.checkpoint()
+        # Manifests written while the index settings were configurable
+        # carry them; the key is ignored and dropped on the next save.
+        path = directory / MANIFEST_NAME
+        record = json.loads(path.read_text())
+        record["query_index"] = {"probe_bits": 32, "min_medoids": 1}
+        path.write_text(json.dumps(record))
+        reopened = ClusterRepository.open(directory)
+        np.testing.assert_array_equal(reopened.labels(), repository.labels())
+        reopened.add_batch(repo_dataset.spectra[:4])
+        reopened.checkpoint()
+        assert "query_index" not in json.loads(path.read_text())

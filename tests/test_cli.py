@@ -145,6 +145,38 @@ class TestNoKernelTierOption:
         assert "--kernel-tier" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,option",
+    [
+        (["query", "repo", "input.mgf"], ["--backend", "threads"]),
+        (["query", "repo", "input.mgf"], ["--workers", "2"]),
+        (["query", "repo", "input.mgf"], ["--index", "on"]),
+        (["query", "repo", "input.mgf"], ["--probe-bits", "64"]),
+        (["serve", "repo"], ["--index", "off"]),
+    ],
+    ids=[
+        "query-backend", "query-workers", "query-index", "query-probe-bits",
+        "serve-index",
+    ],
+)
+class TestNoQueryScanOptions:
+    """One scan path, chosen by medoid count: no flag selects another."""
+
+    def test_help_omits_and_parser_rejects_scan_option(
+        self, command, option, capsys
+    ):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command[0], "--help"])
+        assert exit_info.value.code == 0
+        assert option[0] not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*command, *option])
+        assert exit_info.value.code == 2
+        assert option[0] in capsys.readouterr().err
+
+
 class TestDatasetsCommand:
     def test_lists_all_five(self, capsys):
         assert main(["datasets"]) == 0

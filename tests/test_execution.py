@@ -177,8 +177,6 @@ class TestExecutionPoolLifecycle:
         pool.close()
         with pytest.raises(ConfigurationError, match="closed"):
             pool.submit(_square, 2)
-        with pytest.raises(ConfigurationError, match="closed"):
-            pool.map(_square, [1, 2])
 
     def test_close_idempotent_and_cancels_pending(self):
         import threading
@@ -212,17 +210,6 @@ class TestExecutionPoolLifecycle:
             future = pool.submit(_raise_value_error)
             with pytest.raises(ValueError):
                 future.result()
-
-    @pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
-    def test_warm_up_spawns_executor_unless_inline(self, backend):
-        from repro.execution import ExecutionPool
-
-        with ExecutionPool(backend, 2) as pool:
-            pool.warm_up()
-            assert (pool._executor is None) == pool.is_inline
-            assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
-        with pytest.raises(ConfigurationError, match="closed"):
-            pool.warm_up()
 
 
 def _raise_value_error():

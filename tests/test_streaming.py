@@ -255,7 +255,7 @@ class TestErrorPaths:
                     )
                 )
             # Borrowed pools are never closed by the stage graph.
-            assert pool.map(len, [[1, 2]]) == [2]
+            assert pool.submit(len, [1, 2]).result() == 2
 
     @pytest.mark.parametrize("backend,workers", [("threads", 3), ("processes", 2)])
     def test_early_close_unblocks_producers(
