@@ -22,14 +22,13 @@ Subpackages
     Sharded persistent cluster repository: WAL-backed ingest, segment
     checkpoints, top-k medoid query service.
 ``repro.streaming``
-    Staged streaming dataflow (parse → preprocess → encode →
-    bucket-route) feeding repository ingest and ``run_files``.
+    Streaming dataflow (parse → preprocess → encode → ordered apply)
+    feeding repository ingest and ``run_files``.
 
 The top-level exports are the end-to-end pipeline API.
 """
 
-from .execution import EXECUTION_BACKENDS, ExecutionPool, execution_map
-from .streaming import EncodedBatch, StreamConfig, StreamStats
+from .streaming import EncodedBatch, StreamStats
 from .pipeline import (
     SpecHDConfig,
     SpecHDPipeline,
@@ -50,11 +49,7 @@ from .errors import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "EXECUTION_BACKENDS",
-    "ExecutionPool",
-    "execution_map",
     "EncodedBatch",
-    "StreamConfig",
     "StreamStats",
     "SpecHDConfig",
     "SpecHDPipeline",

@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import __version__
-from .errors import SpecHDError
+from .errors import ParseError, SpecHDError
 
 #: Query spectra processed per QueryService batch when streaming a file.
 QUERY_STREAM_BATCH = 2048
@@ -101,16 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--resolution", type=float, default=1.0,
         help="precursor bucket resolution in Da (default 1.0)",
-    )
-    cluster.add_argument(
-        "--backend", default="serial",
-        choices=("serial", "threads", "processes"),
-        help="execution backend for per-bucket clustering (default serial)",
-    )
-    cluster.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for threads/processes backends "
-             "(default: CPU count)",
     )
     cluster.add_argument(
         "--consensus", action="store_true",
@@ -195,24 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="precursor bucket resolution for a new repository (default 1.0)",
     )
     ingest.add_argument(
-        "--backend", default="serial",
-        choices=("serial", "threads", "processes"),
-        help="execution backend for the streaming parse/encode stages "
-             "and leftover clustering (default serial)",
-    )
-    ingest.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for threads/processes backends",
-    )
-    ingest.add_argument(
-        "--queue-depth", type=int, default=4,
-        help="encoded batches buffered per in-flight file "
-             "(streaming backpressure; default 4)",
-    )
-    ingest.add_argument(
         "--progress", action="store_true",
-        help="report streaming progress (spectra/s, batches, per-stage "
-             "queue depth) to stderr",
+        help="report streaming progress (spectra/s, batches, files) "
+             "to stderr",
     )
 
     query = subparsers.add_parser(
@@ -268,15 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=7677,
         help="listen port; 0 picks an ephemeral one (default 7677)",
-    )
-    serve.add_argument(
-        "--backend", default="serial",
-        choices=("serial", "threads", "processes"),
-        help="execution backend for leftover clustering (default serial)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for threads/processes backends",
     )
     serve.add_argument(
         "--checkpoint-interval", type=float, default=2.0,
@@ -473,8 +439,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             bucketing=BucketingConfig(resolution=args.resolution),
             linkage=args.linkage,
             cluster_threshold=args.threshold,
-            execution_backend=args.backend,
-            num_workers=args.workers,
         )
     )
     result = pipeline.run(spectra)
@@ -625,11 +589,7 @@ def _open_or_create_repository(args: argparse.Namespace):
 
     if (args.repository / MANIFEST_NAME).exists():
         print(f"opening repository {args.repository}")
-        repository = ClusterRepository.open(
-            args.repository,
-            execution_backend=args.backend,
-            num_workers=args.workers,
-        )
+        repository = ClusterRepository.open(args.repository)
         manifest = repository.manifest
         # Creation-time parameters are fixed by the manifest; warn when a
         # flag the user passed disagrees, so a clustering never silently
@@ -671,26 +631,26 @@ def _open_or_create_repository(args: argparse.Namespace):
         f"creating repository {args.repository} "
         f"({config.num_shards} shards, dim {config.encoder.dim})"
     )
-    return ClusterRepository.create(
-        args.repository,
-        config,
-        execution_backend=args.backend,
-        num_workers=args.workers,
-    )
+    return ClusterRepository.create(args.repository, config)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     import time
 
+    from .io import detect_format
     from .io.hvstore import HypervectorStore
     from .store import StreamingIngestor
 
     if args.batch_size < 1:
         print("error: --batch-size must be >= 1", file=sys.stderr)
         return 2
-    if args.queue_depth < 1:
-        print("error: --queue-depth must be >= 1", file=sys.stderr)
-        return 2
+    # Check every input before the repository is opened or created, so a
+    # mistyped path never leaves an empty repository behind.
+    for path in args.inputs:
+        if path.suffix != ".npz":
+            detect_format(path)
+        elif not path.exists():
+            raise ParseError("cannot read file: no such file", str(path))
     repository = _open_or_create_repository(args)
 
     # Reset per streamed flush: each StreamingIngestor starts fresh
@@ -705,7 +665,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             f"({rate:.0f}/s), {snapshot['spectra_dropped']} QC-dropped, "
             f"batches {snapshot['batches_applied']}/"
             f"{snapshot['batches_encoded']} applied/encoded, "
-            f"stage queue depth {snapshot['queue_depth']}, "
             f"files {snapshot['files_done']}/{snapshot['files_total']}",
             file=sys.stderr,
         )
@@ -714,22 +673,18 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
     def ingest_reports():
         # Inputs are ingested strictly in command-line order; consecutive
-        # spectrum files ride one streaming stage graph, .npz stores go
-        # through the pre-encoded path between flushes.
+        # spectrum files ride one stream, .npz stores go through the
+        # pre-encoded path between flushes.
         pending = []
 
         def flush():
             if not pending:
                 return
             flush_start[0] = time.monotonic()
-            with StreamingIngestor(
-                repository,
-                batch_size=args.batch_size,
-                queue_depth=args.queue_depth,
-                backend=args.backend,
-                workers=args.workers,
-            ) as ingestor:
-                yield ingestor.ingest(list(pending), progress=progress)
+            ingestor = StreamingIngestor(
+                repository, batch_size=args.batch_size
+            )
+            yield ingestor.ingest(list(pending), progress=progress)
             pending.clear()
 
         for path in args.inputs:
@@ -974,8 +929,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        backend=args.backend,
-        workers=args.workers,
         checkpoint_interval=args.checkpoint_interval,
         checkpoint_min_batches=args.checkpoint_min_batches,
         coalesce_window_ms=args.coalesce_window_ms,

@@ -112,8 +112,9 @@ class IDLevelEncoder:
         lazily builds the sentinel-augmented tables, so a single encoder
         must never be driven from two threads at once.  Clones share the
         item memory and the augmented tables (both read-only after this
-        call) while keeping scratch private — one clone per worker thread
-        is the concurrency contract of the streaming dataflow.
+        call) while keeping scratch private — one clone per thread is the
+        concurrency contract (the service daemon's connection threads each
+        encode with their own clone).
         """
         twin = IDLevelEncoder(self.config, item_memory=self.item_memory)
         twin._id_augmented, twin._level_augmented = self._augmented_memories()
@@ -152,22 +153,6 @@ class IDLevelEncoder:
         majority = majority_bundle(accumulator, spectrum.peak_count)
         return pack_bits(majority)
 
-    def encode_batch_reference(
-        self, spectra: Sequence[MassSpectrum]
-    ) -> np.ndarray:
-        """Reference batch encoder: one :meth:`encode` call per spectrum.
-
-        Kept as the bit-exact golden path that :meth:`encode_batch` is
-        tested against (``tests/hdc/test_fastpath_equivalence.py``); use
-        :meth:`encode_batch` everywhere else.
-        """
-        if len(spectra) == 0:
-            return np.zeros((0, self.words), dtype=np.uint64)
-        encoded = np.empty((len(spectra), self.words), dtype=np.uint64)
-        for row, spectrum in enumerate(spectra):
-            encoded[row] = self.encode(spectrum)
-        return encoded
-
     def _augmented_memories(self) -> tuple[np.ndarray, np.ndarray]:
         """ID/Level tables with one all-zero sentinel row appended.
 
@@ -201,9 +186,9 @@ class IDLevelEncoder:
     def encode_batch(self, spectra: Sequence[MassSpectrum]) -> np.ndarray:
         """Encode a batch; returns packed matrix ``(n, dim // 64)``.
 
-        Vectorised fast path, bit-identical to
-        :meth:`encode_batch_reference` but roughly an order of magnitude
-        faster on realistic batches:
+        Vectorised fast path, bit-identical to one :meth:`encode` call per
+        spectrum (:func:`repro.testing.oracles.encode_batch`) but roughly
+        an order of magnitude faster on realistic batches:
 
         1. every peak of every spectrum is quantized in one shot;
         2. spectra are sorted by peak count and cut into chunks; each

@@ -31,7 +31,6 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ConfigurationError, ParseError
-from .execution import execution_map, validate_backend
 from .hdc import (
     EncoderConfig,
     IDLevelEncoder,
@@ -39,7 +38,7 @@ from .hdc import (
     pairwise_hamming_blocked,
 )
 from .io.hvstore import HypervectorStore
-from .pipeline import cluster_bucket_labels
+from .pipeline import cluster_bucket_vectors
 from .spectrum import (
     BucketingConfig,
     MassSpectrum,
@@ -119,9 +118,6 @@ class IncrementalClusterStore:
         spectra into existing clusters and for clustering leftovers.
     linkage:
         Linkage criterion for the leftover NN-chain pass.
-    execution_backend, num_workers:
-        How leftover buckets are clustered (see :mod:`repro.execution`);
-        all backends produce identical labels.
     encoder:
         Optional pre-built encoder sharing ``encoder_config``'s item
         memory.  A sharded repository passes one encoder to all of its
@@ -135,17 +131,12 @@ class IncrementalClusterStore:
         bucketing: BucketingConfig = BucketingConfig(),
         cluster_threshold: float = 0.3,
         linkage: str = "complete",
-        execution_backend: str = "serial",
-        num_workers: int | None = None,
         encoder: IDLevelEncoder | None = None,
     ) -> None:
         if not 0.0 <= cluster_threshold <= 1.0:
             raise ConfigurationError(
                 "cluster_threshold must be a normalised distance in [0, 1]"
             )
-        validate_backend(execution_backend)
-        if num_workers is not None and num_workers < 1:
-            raise ConfigurationError("num_workers must be >= 1")
         if encoder is not None and encoder.config != encoder_config:
             raise ConfigurationError(
                 "shared encoder configuration does not match encoder_config"
@@ -155,8 +146,6 @@ class IncrementalClusterStore:
         self.bucketing = bucketing
         self.cluster_threshold = cluster_threshold
         self.linkage = linkage
-        self.execution_backend = execution_backend
-        self.num_workers = num_workers
 
         self._vectors = np.zeros(
             (0, encoder_config.dim // 64), dtype=np.uint64
@@ -322,31 +311,15 @@ class IncrementalClusterStore:
                 leftovers_by_bucket.setdefault(bucket, []).append(row)
 
         new_clusters = 0
-        # Leftover buckets are independent: compute their local labellings
-        # on the execution backend, then apply serially in insertion order
-        # so cluster numbering is identical across backends.
-        pending = [
-            (bucket, rows)
-            for bucket, rows in leftovers_by_bucket.items()
-            if len(rows) > 1
-        ]
-        outcomes = execution_map(
-            cluster_bucket_labels,
-            [
-                (self._vectors[rows], self.linkage, threshold_bits)
-                for _, rows in pending
-            ],
-            backend=self.execution_backend,
-            workers=self.num_workers,
-        )
-        labels_by_bucket = {
-            bucket: local_labels
-            for (bucket, _), local_labels in zip(pending, outcomes)
-        }
+        # Leftover buckets are clustered in insertion order, which fixes
+        # the new clusters' label numbering.
         for bucket, rows in leftovers_by_bucket.items():
-            local_labels = labels_by_bucket.get(
-                bucket, np.zeros(1, dtype=np.int64)
-            )
+            if len(rows) > 1:
+                local_labels, _stats, _distances = cluster_bucket_vectors(
+                    self._vectors[rows], self.linkage, threshold_bits
+                )
+            else:
+                local_labels = np.zeros(1, dtype=np.int64)
             new_clusters += self._apply_leftover_labels(
                 bucket, rows, local_labels
             )
@@ -495,15 +468,11 @@ class IncrementalClusterStore:
         cls,
         directory: Union[str, Path],
         stem: str = "store",
-        execution_backend: str = "serial",
-        num_workers: int | None = None,
         encoder: IDLevelEncoder | None = None,
         mmap: bool = False,
     ) -> "IncrementalClusterStore":
         """Restore a store persisted by :meth:`save`.
 
-        The execution backend is a runtime choice (it never affects
-        labels), so it is passed here rather than recorded in the state.
         ``mmap=True`` memory-maps the hypervector payload when the
         snapshot was saved uncompressed (falling back to a copy when
         not); the first ``add_batch`` after restoring converts the
@@ -523,8 +492,6 @@ class IncrementalClusterStore:
         return cls.from_snapshot(
             store,
             state,
-            execution_backend=execution_backend,
-            num_workers=num_workers,
             encoder=encoder,
         )
 
@@ -533,8 +500,6 @@ class IncrementalClusterStore:
         cls,
         store: HypervectorStore,
         state: dict,
-        execution_backend: str = "serial",
-        num_workers: int | None = None,
         encoder: IDLevelEncoder | None = None,
     ) -> "IncrementalClusterStore":
         """Rebuild a store from its two snapshot halves."""
@@ -547,8 +512,6 @@ class IncrementalClusterStore:
             bucketing=BucketingConfig(**state["bucketing"]),
             cluster_threshold=state["cluster_threshold"],
             linkage=state["linkage"],
-            execution_backend=execution_backend,
-            num_workers=num_workers,
             encoder=encoder,
         )
         # Keep the store's matrix as-is when possible: a memory-mapped

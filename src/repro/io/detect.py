@@ -37,10 +37,13 @@ def detect_format(path: Union[str, Path]) -> str:
     Raises
     ------
     ParseError
-        If the format cannot be determined (including a corrupt or empty
-        gzip container whose inner extension is unknown).
+        If the file does not exist, or its format cannot be determined
+        (including a corrupt or empty gzip container whose inner
+        extension is unknown).
     """
     path = Path(path)
+    if not path.exists():
+        raise ParseError("cannot read file: no such file", str(path))
     inner, _compressed = strip_compression_suffix(path)
     extension = inner.suffix.lower()
     if extension in KNOWN_EXTENSIONS:

@@ -3,9 +3,8 @@
 The streaming ingest dataflow (:mod:`repro.streaming`) needs three things
 from its input that ``read_spectra`` alone does not give it: a *plan*
 (which files, in which order, in which format) known before any parsing
-starts, per-file iteration so independent files can be parsed on separate
-workers, and batch boundaries that are reproducible regardless of how the
-work is scheduled.  :class:`SpectrumSource` is that plan: formats are
+starts, per-file iteration, and batch boundaries that are a pure function
+of the plan.  :class:`SpectrumSource` is that plan: formats are
 sniffed eagerly (cheap — suffix first, 4 KiB head otherwise), parsing
 stays lazy, and batches never span files, so the sequential and streamed
 ingest paths chop the input identically.

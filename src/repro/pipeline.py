@@ -33,7 +33,6 @@ from .cluster import (
 )
 from .cluster.metrics import QualityReport
 from .errors import ConfigurationError
-from .execution import execution_map, validate_backend
 from .fpga import constants as hw
 from .fpga.kernels import (
     distance_matrix_cycles,
@@ -58,11 +57,9 @@ class SpecHDConfig:
     Hamming distance in [0, 1] (fraction of differing hypervector bits);
     0.5 is the orthogonality distance of unrelated spectra.
 
-    ``execution_backend`` selects how independent precursor buckets are
-    clustered (``serial`` / ``threads`` / ``processes``, see
-    :mod:`repro.execution`); ``num_workers`` bounds the pool size (default:
-    host CPU count).  ``encode_batch_size`` is the streaming granularity of
-    the encoder stage.  All backends produce identical labels.
+    ``encode_batch_size`` is the streaming granularity of the encoder
+    stage.  ``num_cluster_kernels`` only scales the hardware model's
+    clustering time; the software clusters buckets one after another.
     """
 
     preprocessing: PreprocessingConfig = field(
@@ -74,8 +71,6 @@ class SpecHDConfig:
     cluster_threshold: float = 0.3
     num_cluster_kernels: int = hw.DEFAULT_CLUSTER_KERNELS
     clock_hz: float = hw.U280_CLOCK_HZ
-    execution_backend: str = "serial"
-    num_workers: Optional[int] = None
     encode_batch_size: int = 4096
 
     def __post_init__(self) -> None:
@@ -85,9 +80,6 @@ class SpecHDConfig:
             )
         if self.num_cluster_kernels < 1:
             raise ConfigurationError("need at least one clustering kernel")
-        validate_backend(self.execution_backend)
-        if self.num_workers is not None and self.num_workers < 1:
-            raise ConfigurationError("num_workers must be >= 1")
         if self.encode_batch_size < 1:
             raise ConfigurationError("encode_batch_size must be >= 1")
 
@@ -173,43 +165,18 @@ def _members_by_label(labels: np.ndarray) -> Dict[int, List[int]]:
     return members
 
 
-def cluster_bucket_vectors(task) -> tuple:
+def cluster_bucket_vectors(
+    vectors: np.ndarray, linkage: str, threshold_bits: float
+) -> Tuple[np.ndarray, ClusteringStats, np.ndarray]:
     """Cluster one precursor bucket of packed hypervectors.
 
-    ``task`` is ``(vectors, linkage, threshold_bits)``.  Returns
-    ``(labels, stats, distances)`` where ``stats`` is the tuple
-    ``(distance_scans, distance_updates, chain_extensions, merges)``.
-
-    Top-level by design: the ``processes`` execution backend pickles this
-    function together with its task, one independent bucket per work item —
-    the software analogue of SpecHD's replicated clustering kernels.
+    Returns ``(labels, stats, distances)``: the bucket-local labels cut at
+    ``threshold_bits``, the NN-chain operation counts and the bucket's
+    float64 Hamming distance matrix.
     """
-    vectors, linkage, threshold_bits = task
     distances = pairwise_hamming_blocked(vectors).astype(np.float64)
     result = nn_chain_linkage(distances, linkage)
-    labels = cut_at_height(result, threshold_bits)
-    stats = result.stats
-    return (
-        labels,
-        (
-            stats.distance_scans,
-            stats.distance_updates,
-            stats.chain_extensions,
-            stats.merges,
-        ),
-        distances,
-    )
-
-
-def cluster_bucket_labels(task) -> np.ndarray:
-    """Labels-only variant of :func:`cluster_bucket_vectors`.
-
-    For callers that do not need the bucket's distance matrix (incremental
-    leftover clustering): dropping it inside the worker avoids pickling an
-    O(n^2) float64 array back from every ``processes``-backend task.
-    """
-    labels, _stats, _distances = cluster_bucket_vectors(task)
-    return labels
+    return cut_at_height(result, threshold_bits), result.stats, distances
 
 
 class SpecHDPipeline:
@@ -222,26 +189,18 @@ class SpecHDPipeline:
     def run_files(self, paths) -> "SpecHDResult":
         """Run the pipeline over one or more spectrum files (MGF/MS2/mzML).
 
-        Built on the staged streaming dataflow (:mod:`repro.streaming`):
-        files are parsed lazily and each batch is preprocessed *and
-        HD-encoded* the moment it streams in, with parse/encode of
-        later batches overlapping on the configured execution backend
-        while earlier ones are collected.  Peak memory is bounded by the
+        Built on the streaming dataflow (:mod:`repro.streaming`): files
+        are parsed lazily and each batch is preprocessed *and HD-encoded*
+        the moment it streams in.  Peak memory is bounded by the
         *preprocessed* dataset (top-k peaks per spectrum) plus the
         packed hypervectors, mirroring the near-storage flow where raw
-        data never reaches the host.  Labels are invariant under the
-        backend and worker count.
+        data never reaches the host.
         """
         from .io.source import SpectrumSource
-        from .streaming import StreamConfig, stream_encoded_batches
+        from .streaming import stream_encoded_batches
 
         config = self.config
         source = SpectrumSource(paths)
-        stream_config = StreamConfig(
-            batch_size=config.encode_batch_size,
-            backend=config.execution_backend,
-            workers=config.num_workers,
-        )
         kept: List[MassSpectrum] = []
         kept_indices: List[int] = []
         vector_parts: List[np.ndarray] = []
@@ -252,7 +211,7 @@ class SpecHDPipeline:
             source,
             config.preprocessing,
             config.encoder,
-            stream_config,
+            config.encode_batch_size,
             keep_spectra=True,
             encoder=self.encoder,
         ):
@@ -339,7 +298,7 @@ class SpecHDPipeline:
         """Bucket, encode and cluster already-preprocessed spectra.
 
         ``hypervectors`` lets a caller that already encoded the spectra
-        (the streaming stage graph) skip the encode stage here; the
+        (the file stream of :meth:`run_files`) skip the encode stage here; the
         hardware encoder-cycle accounting is identical either way since
         it depends only on spectrum and peak counts.
         """
@@ -386,45 +345,32 @@ class SpecHDPipeline:
         distances_by_bucket: Dict[Tuple[int, int], np.ndarray] = {}
         total_stats = ClusteringStats()
         threshold_bits = config.cluster_threshold * config.encoder.dim
-        # Multi-member buckets are independent work items: fan them out on
-        # the configured execution backend, then stitch labels back together
-        # serially in sorted-key order so every backend yields identical
-        # labelling.
-        sorted_keys = sorted(buckets)
-        multi_keys = [key for key in sorted_keys if len(buckets[key]) >= 2]
-        outcomes = execution_map(
-            cluster_bucket_vectors,
-            [
-                (hypervectors[buckets[key]], config.linkage, threshold_bits)
-                for key in multi_keys
-            ],
-            backend=config.execution_backend,
-            workers=config.num_workers,
-        )
-        results_by_key = dict(zip(multi_keys, outcomes))
+        # Buckets are clustered one after another in sorted-key order, which
+        # fixes the global label numbering.
         next_label = 0
-        for key in sorted_keys:
+        for key in sorted(buckets):
             members = buckets[key]
             if len(members) == 1:
                 labels[members[0]] = next_label
                 next_label += 1
                 continue
-            bucket_labels, stats, distances = results_by_key[key]
+            bucket_labels, stats, distances = cluster_bucket_vectors(
+                hypervectors[members], config.linkage, threshold_bits
+            )
             distances_by_bucket[key] = distances
             for local_index, member in enumerate(members):
                 labels[member] = next_label + int(bucket_labels[local_index])
             next_label += int(bucket_labels.max()) + 1
 
-            scans, updates, extensions, merges = stats
-            total_stats.distance_scans += scans
-            total_stats.distance_updates += updates
-            total_stats.chain_extensions += extensions
-            total_stats.merges += merges
+            total_stats.distance_scans += stats.distance_scans
+            total_stats.distance_updates += stats.distance_updates
+            total_stats.chain_extensions += stats.chain_extensions
+            total_stats.merges += stats.merges
             hardware.distance_cycles += distance_matrix_cycles(
                 len(members), config.encoder.dim
             )
             hardware.nnchain_cycles += nnchain_cycles_from_stats(
-                scans, updates, len(members)
+                stats.distance_scans, stats.distance_updates, len(members)
             )
 
         # Medoids per multi-member cluster, using original bucket distances.

@@ -115,10 +115,6 @@ class ServiceConfig:
     #: 0 binds an ephemeral port; read :attr:`ClusterService.port` after
     #: :meth:`~ClusterService.start`.
     port: int = 0
-    #: Execution backend of the writer's leftover clustering (ingest,
-    #: heal and pushed-generation reopens).  Queries scan inline.
-    backend: str = "serial"
-    workers: Optional[int] = None
     #: Seconds between checkpointer wake-ups.
     checkpoint_interval: float = 2.0
     #: WAL batches that must be pending before a wake-up checkpoints.
@@ -368,8 +364,6 @@ class ClusterService:
         self.stats = ServiceStats()
         self.repository = ClusterRepository.open(
             self.directory,
-            execution_backend=config.backend,
-            num_workers=config.workers,
             verify=config.verify,
         )
         self._write_lock = threading.Lock()
@@ -800,8 +794,6 @@ class ClusterService:
             old.close()
             self.repository = ClusterRepository.open(
                 self.directory,
-                execution_backend=self.config.backend,
-                num_workers=self.config.workers,
                 verify=self.config.verify,
             )
         self._publish_snapshot()
@@ -982,7 +974,6 @@ class ClusterService:
             "coalesce_window_ms": self.config.coalesce_window_ms,
             "coalesce_max_rows": self.config.coalesce_max_rows,
             "checkpoint_interval": self.config.checkpoint_interval,
-            "backend": self.config.backend,
             "last_checkpoint_error": self._checkpoint_error,
         }
         record["kernel"] = kernel_runtime()
@@ -1130,8 +1121,6 @@ class ClusterService:
             old.close()
             self.repository = ClusterRepository.open(
                 self.directory,
-                execution_backend=self.config.backend,
-                num_workers=self.config.workers,
                 verify=self.config.verify,
             )
         with self._stager_lock:

@@ -29,10 +29,10 @@ a durable substrate.  This package provides it:
     that prunes shard scans to a candidate set provably containing the
     exact top-k.
 ``repro.store.ingest``
-    :class:`StreamingIngestor` — backpressured streaming ingest riding
-    the :mod:`repro.streaming` stage graph: parse/preprocess/encode on
-    workers, WAL append + shard apply strictly ordered on the caller,
-    labels and checkpoints byte-identical to sequential ``add_batch``.
+    :class:`StreamingIngestor` — streaming ingest riding
+    :mod:`repro.streaming`: parse/preprocess/encode one batch, then WAL
+    append + shard apply, all on the caller's thread; labels and
+    checkpoints byte-identical to sequential ``add_batch``.
 ``repro.store.snapshot``
     :class:`RepositorySnapshot` — MVCC reads: pin one published
     checkpoint generation and serve it (memory-mapped, read-only,

@@ -1,23 +1,24 @@
-"""Streaming repository ingest: the stage graph's ordered apply stage.
+"""Streaming repository ingest: the ordered apply end of the stream.
 
 :class:`StreamingIngestor` connects :func:`repro.streaming.stream_encoded_batches`
-to a :class:`~repro.store.ClusterRepository`.  Parsing, preprocessing and
-HD encoding run on pipeline workers (overlapped across files and batches);
-WAL appends and shard applies happen here, on the caller's thread, in the
-exact file-major batch order the sequential path uses.  That split is what
-keeps streamed ingest deterministic:
+to a :class:`~repro.store.ClusterRepository`.  Each batch is parsed,
+preprocessed and HD-encoded, then journaled to the WAL and applied to its
+shards before the next batch is read — all on the caller's thread, in the
+file-major batch order the sequential path uses.  So a streamed ingest is
+a sequential ``add_batch`` loop over the same files:
 
 * the *order* of journal records and applies is a pure function of the
-  input plan (files × batch size), never of scheduling;
+  input plan (files × batch size);
 * the *content* of each batch is bit-identical to what ``add_batch`` would
-  have produced, because workers clone the repository's own encoder;
+  have produced, because the stream encodes with the repository's own
+  encoder;
 * empty batches (all spectra QC-dropped) still consume a WAL sequence
   number, so ``applied_seq`` — and with it the checkpoint manifest —
   matches the sequential path one-to-one.
 
 Labels and checkpoints from a streamed ingest are therefore byte-identical
-to a sequential ``add_batch`` loop over the same files, on every execution
-backend (pinned by ``tests/store/test_stream_ingest.py``).
+to a sequential ``add_batch`` loop over the same files (pinned by
+``tests/store/test_stream_ingest.py``).
 """
 
 from __future__ import annotations
@@ -26,14 +27,8 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from ..errors import ConfigurationError
-from ..execution import ExecutionPool
 from ..io.source import SpectrumSource
-from ..streaming import (
-    DEFAULT_QUEUE_DEPTH,
-    StreamConfig,
-    StreamStats,
-    stream_encoded_batches,
-)
+from ..streaming import StreamStats, stream_encoded_batches
 from .repository import ClusterRepository, RepositoryUpdateReport
 
 #: Applied batches between two progress callback invocations.
@@ -41,23 +36,14 @@ PROGRESS_EVERY_BATCHES = 8
 
 
 class StreamingIngestor:
-    """Backpressured, deterministic streaming ingest into a repository.
+    """Deterministic streaming ingest into a repository.
 
     Parameters
     ----------
     repository:
-        An open :class:`~repro.store.ClusterRepository`; the ingestor
-        journals and applies on the calling thread only.
+        An open :class:`~repro.store.ClusterRepository`.
     batch_size:
         Spectra per WAL record — identical chop to the sequential path.
-    queue_depth:
-        Encoded batches buffered per in-flight file (threads) or extra
-        files in flight (processes); the backpressure knob.
-    backend, workers:
-        Execution backend of the parse/preprocess/encode stages.  The
-        repository's *own* backend settings govern leftover clustering
-        inside shards and are independent of this choice; neither affects
-        labels.
     checkpoint_every_batches:
         When set, the ingestor checkpoints the repository whenever that
         many WAL batches have accumulated since the last checkpoint, so a
@@ -66,20 +52,16 @@ class StreamingIngestor:
         are unaffected, and labels are identical either way (checkpoints
         never change cluster state).  ``None`` (default) preserves the
         caller-controlled behaviour.
-
-    Usable as a context manager; the stage pool is shut down on exit and
-    on any mid-stream failure (including ``KeyboardInterrupt``).
     """
 
     def __init__(
         self,
         repository: ClusterRepository,
         batch_size: int = 1024,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        backend: str = "serial",
-        workers: Optional[int] = None,
         checkpoint_every_batches: Optional[int] = None,
     ) -> None:
+        if batch_size < 1:
+            raise ConfigurationError("batch_size must be >= 1")
         if (
             checkpoint_every_batches is not None
             and checkpoint_every_batches < 1
@@ -89,32 +71,8 @@ class StreamingIngestor:
             )
         self.checkpoint_every_batches = checkpoint_every_batches
         self.repository = repository
-        self.config = StreamConfig(
-            batch_size=batch_size,
-            queue_depth=queue_depth,
-            backend=backend,
-            workers=workers,
-        )
+        self.batch_size = batch_size
         self.stats = StreamStats()
-        self._pool = ExecutionPool(self.config.backend, self.config.workers)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def close(self, cancel_pending: bool = False) -> None:
-        """Shut the stage pool down (idempotent)."""
-        self._pool.close(cancel_pending=cancel_pending)
-
-    def __enter__(self) -> "StreamingIngestor":
-        return self
-
-    def __exit__(self, exc_type, *_exc) -> None:
-        self.close(cancel_pending=exc_type is not None)
-
-    # ------------------------------------------------------------------
-    # Ingest
-    # ------------------------------------------------------------------
 
     def ingest(
         self,
@@ -129,8 +87,6 @@ class StreamingIngestor:
         end.  The returned report aggregates every applied batch;
         ``seq`` is the last applied WAL sequence number.
         """
-        if self._pool._closed:  # noqa: SLF001 - own pool
-            raise ConfigurationError("streaming ingestor is closed")
         # Fresh counters per run: ``stats`` always describes the current
         # (or most recent) ingest, so reusing the ingestor for a second
         # plan never reports carried-over totals against a new
@@ -147,48 +103,39 @@ class StreamingIngestor:
         # Live applied sequence, not the checkpoint-time manifest value:
         # a zero-batch ingest must report the repository's actual seq.
         last_seq = repository._applied_seq  # noqa: SLF001
-        batches = stream_encoded_batches(
+        for batch in stream_encoded_batches(
             source,
             repository.manifest.preprocessing,
             repository.manifest.encoder,
-            self.config,
+            self.batch_size,
             encoder=repository.encoder,
             stats=self.stats,
-            pool=self._pool,
-        )
-        try:
-            for batch in batches:
-                report = repository.add_encoded_batch(
-                    batch.vectors,
-                    batch.precursor_mz,
-                    batch.charge,
-                    batch.identifiers,
-                    num_dropped=batch.num_dropped,
-                )
-                self.stats.note_applied(batch)
-                added += report.num_added
-                absorbed += report.num_absorbed
-                new_clusters += report.num_new_clusters
-                dropped += report.num_dropped
-                touched |= repository._last_touched_shards  # noqa: SLF001
-                last_seq = report.seq
-                if (
-                    self.checkpoint_every_batches is not None
-                    and repository.wal_pending_batches
-                    >= self.checkpoint_every_batches
-                ):
-                    repository.checkpoint()
-                if (
-                    progress is not None
-                    and self.stats.batches_applied % PROGRESS_EVERY_BATCHES == 0
-                ):
-                    progress(self.stats.snapshot())
-        except BaseException:
-            # The stage pool is full of work for a stream that just died;
-            # drop it rather than finishing doomed files.
-            batches.close()
-            self._pool.close(cancel_pending=True)
-            raise
+        ):
+            report = repository.add_encoded_batch(
+                batch.vectors,
+                batch.precursor_mz,
+                batch.charge,
+                batch.identifiers,
+                num_dropped=batch.num_dropped,
+            )
+            self.stats.note_applied(batch)
+            added += report.num_added
+            absorbed += report.num_absorbed
+            new_clusters += report.num_new_clusters
+            dropped += report.num_dropped
+            touched |= repository._last_touched_shards  # noqa: SLF001
+            last_seq = report.seq
+            if (
+                self.checkpoint_every_batches is not None
+                and repository.wal_pending_batches
+                >= self.checkpoint_every_batches
+            ):
+                repository.checkpoint()
+            if (
+                progress is not None
+                and self.stats.batches_applied % PROGRESS_EVERY_BATCHES == 0
+            ):
+                progress(self.stats.snapshot())
         if progress is not None:
             progress(self.stats.snapshot())
         return RepositoryUpdateReport(

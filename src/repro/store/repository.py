@@ -131,9 +131,7 @@ class ClusterRepository:
     """Durable, sharded cluster state with WAL-backed ingest.
 
     Use :meth:`create` for a new repository directory and :meth:`open` for
-    an existing one; the constructor itself is internal plumbing.  The
-    execution backend is a runtime (per-open) choice — it is threaded to
-    each shard's leftover NN-chain pass and never changes labels.
+    an existing one; the constructor itself is internal plumbing.
     """
 
     def __init__(
@@ -142,14 +140,10 @@ class ClusterRepository:
         manifest: RepositoryManifest,
         shards: List[IncrementalClusterStore],
         encoder: IDLevelEncoder,
-        execution_backend: str = "serial",
-        num_workers: Optional[int] = None,
     ) -> None:
         self.directory = directory
         self.manifest = manifest
         self.encoder = encoder
-        self.execution_backend = execution_backend
-        self.num_workers = num_workers
         #: Verification policy snapshots opened via :meth:`snapshot`
         #: inherit (set by :meth:`open` from its ``verify`` argument).
         self.verify_policy = "sampled"
@@ -189,8 +183,6 @@ class ClusterRepository:
         cls,
         directory: Union[str, Path],
         config: RepositoryConfig = RepositoryConfig(),
-        execution_backend: str = "serial",
-        num_workers: Optional[int] = None,
     ) -> "ClusterRepository":
         """Initialise a new repository directory and open it."""
         directory = Path(directory)
@@ -211,18 +203,12 @@ class ClusterRepository:
         )
         manifest.save(directory)
         (directory / WAL_NAME).touch()
-        return cls.open(
-            directory,
-            execution_backend=execution_backend,
-            num_workers=num_workers,
-        )
+        return cls.open(directory)
 
     @classmethod
     def open(
         cls,
         directory: Union[str, Path],
-        execution_backend: str = "serial",
-        num_workers: Optional[int] = None,
         recover_wal: bool = True,
         verify: str = "sampled",
     ) -> "ClusterRepository":
@@ -265,8 +251,6 @@ class ClusterRepository:
                     IncrementalClusterStore.load(
                         generation_dir,
                         stem=f"shard-{shard_id:04d}",
-                        execution_backend=execution_backend,
-                        num_workers=num_workers,
                         encoder=encoder,
                         mmap=True,
                     )
@@ -279,19 +263,10 @@ class ClusterRepository:
                         bucketing=manifest.bucketing,
                         cluster_threshold=manifest.cluster_threshold,
                         linkage=manifest.linkage,
-                        execution_backend=execution_backend,
-                        num_workers=num_workers,
                         encoder=encoder,
                     )
                 )
-        repository = cls(
-            directory,
-            manifest,
-            shards,
-            encoder,
-            execution_backend=execution_backend,
-            num_workers=num_workers,
-        )
+        repository = cls(directory, manifest, shards, encoder)
         repository.verify_policy = verify
         loaded_indexes: Dict[int, BitSliceMedoidIndex] = {}
         if manifest.generation > 0:
@@ -535,12 +510,12 @@ class ClusterRepository:
         """Durably ingest one pre-encoded batch: journal, then apply.
 
         This is the streaming-ingest apply stage: preprocessing and
-        encoding already happened on pipeline workers
-        (:mod:`repro.streaming`), so only the compact encoded rows enter
-        the repository's critical section.  The batch must have been
-        encoded with this repository's exact encoder configuration —
-        the stage graph guarantees that by cloning the repository's own
-        encoder.
+        encoding already happened upstream (:mod:`repro.streaming`, or a
+        daemon connection thread), so only the compact encoded rows
+        enter the repository's critical section.  The batch must have
+        been encoded with this repository's exact encoder configuration
+        — the stream guarantees that by encoding with the repository's
+        own encoder.
 
         An *empty* batch (every spectrum failed QC) is journaled anyway:
         it still consumes a sequence number, keeping the WAL history —

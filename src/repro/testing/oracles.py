@@ -1,7 +1,9 @@
 """Reference implementations the test suite pins production paths against.
 
 Every oracle counts bits through :func:`repro.hdc.bitops.unpack_bits`
-(``np.unpackbits``), so none shares the popcount it checks.  The query
+(``np.unpackbits``), so none shares the popcount it checks.  The batch
+encoder oracle encodes one spectrum at a time through
+:meth:`IDLevelEncoder.encode`, the unpacked majority vote.  The query
 oracles scan one query at a time, full-sort each scan and merge
 per-candidate in Python — the original serving path the batched engine
 must reproduce byte for byte.  Only the tests import this module; no
@@ -11,7 +13,7 @@ production path does.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +21,8 @@ from ..hdc.bitops import WORD_BITS, unpack_bits
 from ..hdc.hamming import DISTANCE_DTYPE
 
 if TYPE_CHECKING:
+    from ..hdc import IDLevelEncoder
+    from ..spectrum import MassSpectrum
     from ..store import ClusterMatch, QueryService
 
 
@@ -67,6 +71,16 @@ def accumulate_bit_counts(
         return np.zeros((0, dim), dtype=np.int64)
     bits = unpack_bits(np.asarray(packed, dtype=np.uint64), dim)
     return np.add.reduceat(bits, starts, axis=0, dtype=np.int64)
+
+
+def encode_batch(
+    encoder: "IDLevelEncoder", spectra: Sequence["MassSpectrum"]
+) -> np.ndarray:
+    """Packed hypervectors ``(n, dim // 64)``, one ``encode`` per spectrum."""
+    encoded = np.zeros((len(spectra), encoder.words), dtype=np.uint64)
+    for row, spectrum in enumerate(spectra):
+        encoded[row] = encoder.encode(spectrum)
+    return encoded
 
 
 def shard_topk(

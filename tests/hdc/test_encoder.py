@@ -133,6 +133,37 @@ class TestBatchAndStream:
         with pytest.raises(EncodingError):
             list(encoder.encode_stream(iter([]), batch_size=0))
 
+    def test_concurrent_clones_of_cold_encoder(self, rng):
+        # Regression: clone() on a never-used encoder from several threads
+        # at once (daemon connection threads do this) must not observe
+        # half-built augmented tables.
+        import threading
+
+        config = EncoderConfig(dim=512, mz_bins=2_000, intensity_levels=16)
+        spectra = [
+            spectrum_of(
+                np.sort(rng.uniform(150, 1400, 20)), rng.uniform(0, 1, 20)
+            )
+            for _ in range(12)
+        ]
+        expected = IDLevelEncoder(config).encode_batch(spectra)
+        for _ in range(5):
+            cold = IDLevelEncoder(config)
+            results = [None] * 4
+
+            def run(slot):
+                results[slot] = cold.clone().encode_batch(spectra)
+
+            threads = [
+                threading.Thread(target=run, args=(slot,)) for slot in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            for result in results:
+                np.testing.assert_array_equal(result, expected)
+
 
 class TestMajoritySemantics:
     def test_output_is_binary_majority(self, encoder, rng):

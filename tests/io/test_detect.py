@@ -33,6 +33,21 @@ class TestDetectByExtension:
         assert detect_format(path) == expected
 
 
+class TestMissingFile:
+    @pytest.mark.parametrize(
+        "name",
+        ["gone.mgf", "gone.ms2", "gone.mzML", "gone.mzXML", "gone.mgf.gz",
+         "gone.txt"],
+    )
+    def test_missing_file_is_a_parse_error_naming_the_path(
+        self, tmp_path, name
+    ):
+        path = tmp_path / name
+        with pytest.raises(ParseError, match="no such file") as error:
+            detect_format(path)
+        assert error.value.path == str(path)
+
+
 class TestDetectByContent:
     def test_mgf_sniffed(self, tmp_path):
         path = tmp_path / "data.txt"

@@ -108,12 +108,35 @@ class TestIngestCommand:
         out = capsys.readouterr().out
         assert "ingested 40 spectra" in out
 
+    def test_missing_input_leaves_existing_repository_untouched(
+        self, mgf_fixture, tmp_path, capsys
+    ):
+        from repro.store import ClusterRepository
+
+        directory, input_path, _ = mgf_fixture
+        repo = tmp_path / "repo-untouched"
+        assert main(ingest_args(repo, input_path)) == 0
+        wal_before = (repo / "wal.log").read_bytes()
+        manifest_before = (repo / "manifest.json").read_bytes()
+        capsys.readouterr()
+        # The good file is listed first: nothing of it may be journaled.
+        missing = tmp_path / "missing.mgf"
+        assert main(
+            ["ingest", str(repo), str(input_path), str(missing)]
+        ) == 1
+        assert "no such file" in capsys.readouterr().err
+        assert (repo / "wal.log").read_bytes() == wal_before
+        assert (repo / "manifest.json").read_bytes() == manifest_before
+        assert len(ClusterRepository.open(repo)) == 40
+
     def test_bad_batch_size(self, mgf_fixture, capsys):
         directory, input_path, _ = mgf_fixture
         repo = directory / "repo-bad"
         assert main(
             ingest_args(repo, input_path, "--batch-size", "0")
         ) == 2
+        assert "--batch-size must be >= 1" in capsys.readouterr().err
+        assert not repo.exists()
 
 
 class TestRepoInfoCommand:
@@ -207,6 +230,17 @@ class TestQueryCommand:
         empty.write_text("")
         assert main(["query", str(repo), str(empty)]) == 1
 
+    def test_missing_query_file(self, mgf_fixture, tmp_path, capsys):
+        directory, input_path, _ = mgf_fixture
+        repo = directory / "repo-query-missing"
+        assert main(ingest_args(repo, input_path)) == 0
+        capsys.readouterr()
+        missing = tmp_path / "missing.mgf"
+        assert main(["query", str(repo), str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read file: no such file")
+        assert "Traceback" not in err
+
     def test_bad_top_k(self, mgf_fixture, tmp_path):
         directory, input_path, query_path = mgf_fixture
         repo = directory / "repo-query-badk"
@@ -265,41 +299,45 @@ class TestServeAndRemoteQuery:
 
 
 class TestStreamingIngestCli:
-    def test_threaded_ingest_with_progress(
-        self, mgf_fixture, tmp_path, capsys
-    ):
+    def test_ingest_with_progress(self, mgf_fixture, tmp_path, capsys):
         directory, input_path, _ = mgf_fixture
         repo = tmp_path / "repo-stream"
         assert main(
-            ingest_args(
-                repo, input_path,
-                "--backend", "threads", "--workers", "2",
-                "--queue-depth", "2", "--progress",
-            )
+            ingest_args(repo, input_path, "--batch-size", "7", "--progress")
         ) == 0
         captured = capsys.readouterr()
         assert "ingested 40 spectra" in captured.out
         assert "progress:" in captured.err
-        assert "queue depth" in captured.err
+        assert "files 1/1" in captured.err
 
-    def test_streamed_matches_serial_ingest(self, mgf_fixture, tmp_path):
+    def test_streamed_matches_sequential_add_batch(
+        self, mgf_fixture, tmp_path
+    ):
         import numpy as np
 
-        from repro.store import ClusterRepository
+        from repro.hdc import EncoderConfig
+        from repro.io import read_spectra
+        from repro.store import ClusterRepository, RepositoryConfig
 
         directory, input_path, _ = mgf_fixture
-        serial_repo = tmp_path / "repo-serial"
-        threaded_repo = tmp_path / "repo-threaded"
-        assert main(ingest_args(serial_repo, input_path)) == 0
+        streamed_repo = tmp_path / "repo-streamed"
         assert main(
-            ingest_args(
-                threaded_repo, input_path, "--backend", "threads",
-                "--workers", "3",
-            )
+            ingest_args(streamed_repo, input_path, "--batch-size", "7")
         ) == 0
+        sequential = ClusterRepository.create(
+            tmp_path / "repo-sequential",
+            RepositoryConfig(
+                num_shards=3,
+                encoder=EncoderConfig(dim=1024),
+                cluster_threshold=0.35,
+            ),
+        )
+        spectra = list(read_spectra(input_path))
+        for start in range(0, len(spectra), 7):
+            sequential.add_batch(spectra[start : start + 7])
         np.testing.assert_array_equal(
-            ClusterRepository.open(serial_repo).labels(),
-            ClusterRepository.open(threaded_repo).labels(),
+            ClusterRepository.open(streamed_repo).labels(),
+            sequential.labels(),
         )
 
     def test_gzipped_input_ingests(self, mgf_fixture, tmp_path, capsys):
@@ -311,13 +349,6 @@ class TestStreamingIngestCli:
         repo = tmp_path / "repo-gz"
         assert main(ingest_args(repo, compressed)) == 0
         assert "ingested 40 spectra" in capsys.readouterr().out
-
-    def test_bad_queue_depth(self, mgf_fixture, tmp_path, capsys):
-        directory, input_path, _ = mgf_fixture
-        repo = tmp_path / "repo-badq"
-        assert main(
-            ingest_args(repo, input_path, "--queue-depth", "0")
-        ) == 2
 
     def test_empty_query_emits_no_header(self, mgf_fixture, tmp_path, capsys):
         directory, input_path, _ = mgf_fixture

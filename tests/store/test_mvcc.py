@@ -149,14 +149,9 @@ class TestSnapshotIsolation:
 
         thread = threading.Thread(target=reader)
         thread.start()
-        with StreamingIngestor(
-            repository,
-            batch_size=7,
-            backend="threads",
-            workers=2,
-            checkpoint_every_batches=2,
-        ) as ingestor:
-            report = ingestor.ingest(files)
+        report = StreamingIngestor(
+            repository, batch_size=7, checkpoint_every_batches=2
+        ).ingest(files)
         repository.checkpoint()
         thread.join()
 
@@ -294,15 +289,13 @@ class TestMidStreamCheckpointEquivalence:
             files.append(path)
 
         plain = ClusterRepository.create(tmp_path / "plain", repo_config)
-        with StreamingIngestor(plain, batch_size=9) as ingestor:
-            ingestor.ingest(files)
+        StreamingIngestor(plain, batch_size=9).ingest(files)
         plain.checkpoint()
 
         auto = ClusterRepository.create(tmp_path / "auto", repo_config)
-        with StreamingIngestor(
+        StreamingIngestor(
             auto, batch_size=9, checkpoint_every_batches=3
-        ) as ingestor:
-            ingestor.ingest(files)
+        ).ingest(files)
         auto.checkpoint()
 
         np.testing.assert_array_equal(auto.labels(), plain.labels())

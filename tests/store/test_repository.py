@@ -194,47 +194,39 @@ class TestEncodedIngest:
             repository.add_store(wrong_seed)
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
 class TestCrashConsistency:
-    """The acceptance-criterion scenarios, per execution backend."""
+    """The acceptance-criterion scenarios."""
 
-    def _uninterrupted_labels(self, directory, repo_config, batches, backend):
-        repository = ClusterRepository.create(
-            directory, repo_config, execution_backend=backend, num_workers=2
-        )
+    def _uninterrupted_labels(self, directory, repo_config, batches):
+        repository = ClusterRepository.create(directory, repo_config)
         for batch in batches:
             repository.add_batch(batch)
         return repository.labels()
 
     def test_wal_replay_matches_uninterrupted_run(
-        self, tmp_path, repo_config, repo_dataset, backend
+        self, tmp_path, repo_config, repo_dataset
     ):
         half = len(repo_dataset) // 2
         batches = [
             repo_dataset.spectra[:half], repo_dataset.spectra[half:]
         ]
         expected = self._uninterrupted_labels(
-            tmp_path / "straight", repo_config, batches, backend
+            tmp_path / "straight", repo_config, batches
         )
 
         # Crash scenario: checkpoint after batch 1; batch 2 reaches the
         # WAL but the process dies before the next checkpoint.
-        crashed = ClusterRepository.create(
-            tmp_path / "crashed", repo_config,
-            execution_backend=backend, num_workers=2,
-        )
+        crashed = ClusterRepository.create(tmp_path / "crashed", repo_config)
         crashed.add_batch(batches[0])
         crashed.checkpoint()
         crashed.add_batch(batches[1])
         del crashed  # no checkpoint: state only in segments + WAL
 
-        reopened = ClusterRepository.open(
-            tmp_path / "crashed", execution_backend=backend, num_workers=2
-        )
+        reopened = ClusterRepository.open(tmp_path / "crashed")
         np.testing.assert_array_equal(reopened.labels(), expected)
 
     def test_kill_after_wal_append_before_apply(
-        self, tmp_path, repo_config, repo_dataset, backend
+        self, tmp_path, repo_config, repo_dataset
     ):
         """Dying right after the WAL fsync still replays the batch."""
         half = len(repo_dataset) // 2
@@ -242,13 +234,10 @@ class TestCrashConsistency:
             repo_dataset.spectra[:half], repo_dataset.spectra[half:]
         ]
         expected = self._uninterrupted_labels(
-            tmp_path / "straight", repo_config, batches, backend
+            tmp_path / "straight", repo_config, batches
         )
 
-        victim = ClusterRepository.create(
-            tmp_path / "victim", repo_config,
-            execution_backend=backend, num_workers=2,
-        )
+        victim = ClusterRepository.create(tmp_path / "victim", repo_config)
         victim.add_batch(batches[0])
         victim.checkpoint()
         # Simulate the narrowest crash window: the WAL record for batch 2
@@ -256,19 +245,14 @@ class TestCrashConsistency:
         victim._wal.append_spectra(victim._next_seq, batches[1])
         del victim
 
-        reopened = ClusterRepository.open(
-            tmp_path / "victim", execution_backend=backend, num_workers=2
-        )
+        reopened = ClusterRepository.open(tmp_path / "victim")
         np.testing.assert_array_equal(reopened.labels(), expected)
 
     def test_torn_wal_tail_drops_unacknowledged_batch(
-        self, tmp_path, repo_config, repo_dataset, backend
+        self, tmp_path, repo_config, repo_dataset
     ):
         half = len(repo_dataset) // 2
-        repository = ClusterRepository.create(
-            tmp_path / "repo", repo_config,
-            execution_backend=backend, num_workers=2,
-        )
+        repository = ClusterRepository.create(tmp_path / "repo", repo_config)
         repository.add_batch(repo_dataset.spectra[:half])
         expected = repository.labels()
         wal_path = repository._wal.path
@@ -280,7 +264,7 @@ class TestCrashConsistency:
         np.testing.assert_array_equal(reopened.labels(), expected)
 
     def test_ingest_after_torn_tail_survives(
-        self, tmp_path, repo_config, repo_dataset, backend
+        self, tmp_path, repo_config, repo_dataset
     ):
         """A batch acknowledged after crash recovery must replay."""
         half = len(repo_dataset) // 2
@@ -288,27 +272,20 @@ class TestCrashConsistency:
             repo_dataset.spectra[:half], repo_dataset.spectra[half:]
         ]
         expected = self._uninterrupted_labels(
-            tmp_path / "straight", repo_config, batches, backend
+            tmp_path / "straight", repo_config, batches
         )
 
-        repository = ClusterRepository.create(
-            tmp_path / "repo", repo_config,
-            execution_backend=backend, num_workers=2,
-        )
+        repository = ClusterRepository.create(tmp_path / "repo", repo_config)
         repository.add_batch(batches[0])
         wal_path = repository._wal.path
         del repository
         with open(wal_path, "ab") as handle:
             handle.write(b'{"crc": 0, "body": "{\\"seq\\": 99')
         # Reopen (recovers the torn tail), ingest batch 2, crash again.
-        recovered = ClusterRepository.open(
-            tmp_path / "repo", execution_backend=backend, num_workers=2
-        )
+        recovered = ClusterRepository.open(tmp_path / "repo")
         recovered.add_batch(batches[1])
         del recovered
-        reopened = ClusterRepository.open(
-            tmp_path / "repo", execution_backend=backend, num_workers=2
-        )
+        reopened = ClusterRepository.open(tmp_path / "repo")
         np.testing.assert_array_equal(reopened.labels(), expected)
 
 

@@ -1,8 +1,7 @@
 """Snapshot/restore of the incremental cluster store.
 
 The load-bearing guarantee: ``save → load → add_batch`` labels future
-batches *identically* to a store that was never persisted, on every
-execution backend.
+batches *identically* to a store that was never persisted.
 """
 
 import json
@@ -15,20 +14,18 @@ from repro.hdc import EncoderConfig, IDLevelEncoder
 from repro.incremental import IncrementalClusterStore
 
 
-def make_store(repo_encoder, backend="serial", workers=None, encoder=None):
+def make_store(repo_encoder, encoder=None):
     return IncrementalClusterStore(
         encoder_config=repo_encoder,
         cluster_threshold=0.36,
-        execution_backend=backend,
-        num_workers=workers,
         encoder=encoder,
     )
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
 class TestRoundTripEquivalence:
+    @pytest.mark.parametrize("persisted_batches", [1, 2])
     def test_labels_identical_after_persistence(
-        self, tmp_path, repo_dataset, repo_encoder, backend
+        self, tmp_path, repo_dataset, repo_encoder, persisted_batches
     ):
         third = len(repo_dataset) // 3
         batches = [
@@ -37,18 +34,16 @@ class TestRoundTripEquivalence:
             repo_dataset.spectra[2 * third :],
         ]
 
-        never_persisted = make_store(repo_encoder, backend, workers=2)
+        never_persisted = make_store(repo_encoder)
         for batch in batches:
             never_persisted.add_batch(batch)
 
-        persisted = make_store(repo_encoder, backend, workers=2)
-        persisted.add_batch(batches[0])
+        persisted = make_store(repo_encoder)
+        for batch in batches[:persisted_batches]:
+            persisted.add_batch(batch)
         persisted.save(tmp_path, stem="checkpoint")
-        restored = IncrementalClusterStore.load(
-            tmp_path, stem="checkpoint",
-            execution_backend=backend, num_workers=2,
-        )
-        for batch in batches[1:]:
+        restored = IncrementalClusterStore.load(tmp_path, stem="checkpoint")
+        for batch in batches[persisted_batches:]:
             restored.add_batch(batch)
 
         np.testing.assert_array_equal(

@@ -1,11 +1,10 @@
 """Streamed ingest determinism: byte-identical to sequential ``add_batch``.
 
 The acceptance bar of the streaming dataflow: for the same files and the
-same batch size, :class:`repro.store.StreamingIngestor` must produce —
-on every execution backend — labels, checkpoint manifests, shard states
-and catalogs identical to a plain sequential loop of raw ``add_batch``
-calls, and a mid-stream crash must recover through WAL replay exactly
-like the sequential path does.
+same batch size, :class:`repro.store.StreamingIngestor` must produce
+labels, checkpoint manifests, shard states and catalogs identical to a
+plain sequential loop of raw ``add_batch`` calls, and a mid-stream crash
+must recover through WAL replay exactly like the sequential path does.
 """
 
 from __future__ import annotations
@@ -20,7 +19,9 @@ from repro.store import ClusterRepository, StreamingIngestor
 
 BATCH = 13
 
-BACKENDS = [("serial", None), ("threads", 3), ("processes", 2)]
+#: One spectrum per WAL record, the default chop, and one batch per file
+#: (every file holds 32 spectra): the plans a streamed ingest must match.
+BATCH_SIZES = [1, BATCH, 64]
 
 
 @pytest.fixture(scope="module")
@@ -34,14 +35,16 @@ def ingest_files(repo_dataset, tmp_path_factory):
     return paths
 
 
-def sequential_ingest(directory, config, paths, checkpoint=True):
+def sequential_ingest(
+    directory, config, paths, checkpoint=True, batch_size=BATCH
+):
     """The pre-streaming reference: per-file raw batches via add_batch."""
     repository = ClusterRepository.create(directory, config)
     for path in paths:
         batch = []
         for spectrum in read_spectra(path):
             batch.append(spectrum)
-            if len(batch) >= BATCH:
+            if len(batch) >= batch_size:
                 repository.add_batch(batch)
                 batch = []
         if batch:
@@ -51,13 +54,12 @@ def sequential_ingest(directory, config, paths, checkpoint=True):
 
 
 def streamed_ingest(
-    directory, config, paths, backend, workers, checkpoint=True
+    directory, config, paths, checkpoint=True, batch_size=BATCH
 ):
     repository = ClusterRepository.create(directory, config)
-    with StreamingIngestor(
-        repository, batch_size=BATCH, backend=backend, workers=workers
-    ) as ingestor:
-        report = ingestor.ingest(paths)
+    report = StreamingIngestor(repository, batch_size=batch_size).ingest(
+        paths
+    )
     generation = repository.checkpoint() if checkpoint else None
     return repository, generation, report
 
@@ -89,43 +91,47 @@ def assert_checkpoints_identical(
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("backend,workers", BACKENDS)
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_labels_and_checkpoint_match_sequential(
-        self, tmp_path, repo_config, ingest_files, backend, workers
+        self, tmp_path, repo_config, ingest_files, batch_size
     ):
         sequential, seq_generation = sequential_ingest(
-            tmp_path / "sequential", repo_config, ingest_files
-        )
-        streamed, stream_generation, report = streamed_ingest(
-            tmp_path / f"streamed-{backend}",
+            tmp_path / "sequential",
             repo_config,
             ingest_files,
-            backend,
-            workers,
+            batch_size=batch_size,
+        )
+        streamed, stream_generation, report = streamed_ingest(
+            tmp_path / "streamed",
+            repo_config,
+            ingest_files,
+            batch_size=batch_size,
         )
         np.testing.assert_array_equal(streamed.labels(), sequential.labels())
         assert len(streamed) == len(sequential)
         assert streamed.num_clusters == sequential.num_clusters
         assert report.num_added == len(sequential)
+        assert streamed.manifest.applied_seq == (
+            sequential.manifest.applied_seq
+        )
         assert_checkpoints_identical(
             tmp_path / "sequential",
             seq_generation,
-            tmp_path / f"streamed-{backend}",
+            tmp_path / "streamed",
             stream_generation,
             repo_config.num_shards,
         )
 
-    @pytest.mark.parametrize("backend,workers", BACKENDS)
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_wal_replay_reproduces_streamed_ingest(
-        self, tmp_path, repo_config, ingest_files, backend, workers
+        self, tmp_path, repo_config, ingest_files, batch_size
     ):
         streamed, _gen, _report = streamed_ingest(
             tmp_path / "streamed",
             repo_config,
             ingest_files,
-            backend,
-            workers,
             checkpoint=False,  # leave everything in the WAL
+            batch_size=batch_size,
         )
         labels = streamed.labels()
         reopened = ClusterRepository.open(tmp_path / "streamed")
@@ -150,7 +156,7 @@ class TestDeterminism:
             tmp_path / "sequential", repo_config, [path]
         )
         streamed, stream_generation, report = streamed_ingest(
-            tmp_path / "streamed", repo_config, [path], "threads", 2
+            tmp_path / "streamed", repo_config, [path]
         )
         assert report.num_dropped == BATCH
         assert streamed.manifest.applied_seq == sequential.manifest.applied_seq == 3
@@ -164,14 +170,14 @@ class TestDeterminism:
 
 
 class TestCrashRecovery:
-    @pytest.mark.parametrize("backend,workers", BACKENDS)
+    # With 3-spectrum batches each 32-spectrum file is 11 batches, so 11
+    # crashes exactly on a file boundary and 1 / 4 inside the first file.
+    @pytest.mark.parametrize("crash_after", [1, 4, 11])
     def test_mid_stream_crash_replays_applied_prefix(
-        self, tmp_path, repo_config, ingest_files, backend, workers
+        self, tmp_path, repo_config, ingest_files, crash_after
     ):
         class Boom(RuntimeError):
             pass
-
-        crash_after = 4
 
         def crash_progressor(snapshot):
             if snapshot["batches_applied"] >= crash_after:
@@ -182,22 +188,18 @@ class TestCrashRecovery:
         from repro.store.ingest import PROGRESS_EVERY_BATCHES
 
         assert crash_after % PROGRESS_EVERY_BATCHES != 0 or crash_after > 0
+        # Small batches so the crash lands mid-file.
+        ingestor = StreamingIngestor(repository, batch_size=3)
         with pytest.raises(Boom):
-            with StreamingIngestor(
-                repository,
-                batch_size=3,  # small batches so the crash lands mid-file
-                backend=backend,
-                workers=workers,
-            ) as ingestor:
-                # Fire on every applied batch so the crash point is exact.
-                import repro.store.ingest as ingest_module
+            # Fire on every applied batch so the crash point is exact.
+            import repro.store.ingest as ingest_module
 
-                original = ingest_module.PROGRESS_EVERY_BATCHES
-                ingest_module.PROGRESS_EVERY_BATCHES = 1
-                try:
-                    ingestor.ingest(ingest_files, progress=crash_progressor)
-                finally:
-                    ingest_module.PROGRESS_EVERY_BATCHES = original
+            original = ingest_module.PROGRESS_EVERY_BATCHES
+            ingest_module.PROGRESS_EVERY_BATCHES = 1
+            try:
+                ingestor.ingest(ingest_files, progress=crash_progressor)
+            finally:
+                ingest_module.PROGRESS_EVERY_BATCHES = original
 
         # The journal holds exactly the acknowledged batches; reopening
         # replays them to the same labels the crashed instance held.
@@ -226,30 +228,6 @@ class TestCrashRecovery:
         np.testing.assert_array_equal(
             reopened.labels(), reference.labels()
         )
-
-    def test_ingestor_pool_closed_after_crash(
-        self, tmp_path, repo_config, ingest_files
-    ):
-        repository = ClusterRepository.create(tmp_path / "repo", repo_config)
-        ingestor = StreamingIngestor(
-            repository, batch_size=3, backend="threads", workers=2
-        )
-
-        def fail(_snapshot):
-            raise RuntimeError("boom")
-
-        import repro.store.ingest as ingest_module
-
-        original = ingest_module.PROGRESS_EVERY_BATCHES
-        ingest_module.PROGRESS_EVERY_BATCHES = 1
-        try:
-            with pytest.raises(RuntimeError):
-                with ingestor:
-                    ingestor.ingest(ingest_files, progress=fail)
-        finally:
-            ingest_module.PROGRESS_EVERY_BATCHES = original
-        with pytest.raises(ConfigurationError, match="closed"):
-            ingestor.ingest(ingest_files)
 
 
 class TestAddEncodedBatch:
@@ -331,8 +309,7 @@ class TestZeroBatchIngest:
         repository.add_batch(repo_dataset.spectra[:5])
         empty = tmp_path / "empty.mgf"
         empty.write_text("")
-        with StreamingIngestor(repository) as ingestor:
-            report = ingestor.ingest([empty])
+        report = StreamingIngestor(repository).ingest([empty])
         assert report.num_added == 0
         assert report.seq == repository._applied_seq == 1
 
@@ -340,11 +317,11 @@ class TestZeroBatchIngest:
         self, tmp_path, repo_config, ingest_files
     ):
         repository = ClusterRepository.create(tmp_path / "repo", repo_config)
-        with StreamingIngestor(repository, batch_size=BATCH) as ingestor:
-            ingestor.ingest(ingest_files)
-            first = ingestor.stats.snapshot()
-            ingestor.ingest([ingest_files[0]])
-            second = ingestor.stats.snapshot()
+        ingestor = StreamingIngestor(repository, batch_size=BATCH)
+        ingestor.ingest(ingest_files)
+        first = ingestor.stats.snapshot()
+        ingestor.ingest([ingest_files[0]])
+        second = ingestor.stats.snapshot()
         assert first["files_total"] == 3
         assert second["files_total"] == 1
         assert second["files_done"] == 1

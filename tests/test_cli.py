@@ -153,14 +153,23 @@ class TestNoKernelTierOption:
         (["query", "repo", "input.mgf"], ["--index", "on"]),
         (["query", "repo", "input.mgf"], ["--probe-bits", "64"]),
         (["serve", "repo"], ["--index", "off"]),
+        (["cluster", "input.mgf"], ["--backend", "threads"]),
+        (["cluster", "input.mgf"], ["--workers", "2"]),
+        (["ingest", "repo", "input.mgf"], ["--backend", "processes"]),
+        (["ingest", "repo", "input.mgf"], ["--workers", "2"]),
+        (["ingest", "repo", "input.mgf"], ["--queue-depth", "4"]),
+        (["serve", "repo"], ["--backend", "threads"]),
+        (["serve", "repo"], ["--workers", "2"]),
     ],
     ids=[
         "query-backend", "query-workers", "query-index", "query-probe-bits",
-        "serve-index",
+        "serve-index", "cluster-backend", "cluster-workers",
+        "ingest-backend", "ingest-workers", "ingest-queue-depth",
+        "serve-backend", "serve-workers",
     ],
 )
 class TestNoQueryScanOptions:
-    """One scan path, chosen by medoid count: no flag selects another."""
+    """One scan path and one writer path: no flag selects another."""
 
     def test_help_omits_and_parser_rejects_scan_option(
         self, command, option, capsys
@@ -175,6 +184,32 @@ class TestNoQueryScanOptions:
             build_parser().parse_args([*command, *option])
         assert exit_info.value.code == 2
         assert option[0] in capsys.readouterr().err
+
+
+class TestMissingInput:
+    """A missing input is a one-line error, found before any work starts."""
+
+    @pytest.mark.parametrize("command", ["cluster", "info", "validate"])
+    def test_file_commands(self, command, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.mgf"
+        assert main([command, str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read file: no such file")
+        assert str(missing) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("missing_name", ["nonexistent.mgf", "gone.npz"])
+    def test_ingest_creates_no_repository(
+        self, mgf_path, missing_name, tmp_path, capsys
+    ):
+        repo = tmp_path / "repoX"
+        missing = tmp_path / missing_name
+        assert main(["ingest", str(repo), str(mgf_path), str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read file: no such file")
+        assert str(missing) in err
+        assert "Traceback" not in err
+        assert not repo.exists()
 
 
 class TestDatasetsCommand:

@@ -6,6 +6,7 @@ import pytest
 from repro import SpecHDConfig, SpecHDPipeline
 from repro.errors import ConfigurationError
 from repro.hdc import EncoderConfig
+from repro.spectrum import MassSpectrum
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +32,10 @@ class TestConfig:
     def test_kernel_count_bounds(self):
         with pytest.raises(ConfigurationError):
             SpecHDConfig(num_cluster_kernels=0)
+
+    def test_encode_batch_size_bounds(self):
+        with pytest.raises(ConfigurationError):
+            SpecHDConfig(encode_batch_size=0)
 
 
 class TestRun:
@@ -87,6 +92,25 @@ class TestRun:
         empty = pipeline.run([])
         assert empty.labels.size == 0
         assert empty.num_clusters == 0
+
+    def test_single_spectrum_bucket(self, pipeline, simple_spectrum):
+        single = pipeline.run([simple_spectrum])
+        assert single.labels.tolist() == [0]
+        assert single.num_clusters == 1
+        assert single.distances_by_bucket == {}
+
+    def test_two_singleton_buckets(self, pipeline):
+        spectra = [
+            MassSpectrum(
+                identifier=f"s{index}",
+                precursor_mz=400.0 + 50.0 * index,
+                precursor_charge=2,
+                mz=np.linspace(150.0, 900.0, 12),
+                intensity=np.linspace(0.1, 1.0, 12),
+            )
+            for index in range(2)
+        ]
+        assert sorted(pipeline.run(spectra).labels.tolist()) == [0, 1]
 
     def test_deterministic(self, pipeline, labelled_dataset):
         again = pipeline.run(labelled_dataset.spectra)

@@ -51,14 +51,12 @@ class TestRunFiles:
         assert len(result.spectra) <= len(dataset.spectra)
         assert len(result.spectra) > half
 
-    @pytest.mark.parametrize(
-        "backend,workers", [("threads", 3), ("processes", 2)]
-    )
-    def test_streamed_backends_match_serial(
-        self, dataset, tmp_path, backend, workers
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_streamed_batch_size_does_not_change_results(
+        self, dataset, tmp_path, batch_size
     ):
-        # run_files rides the streaming stage graph; labels, kept
-        # indices and hypervectors must be invariant under the backend.
+        # run_files streams encode batches that never span files; labels,
+        # kept indices and hypervectors must not depend on the batch size.
         paths = []
         for index in range(3):
             path = tmp_path / f"part{index}.mgf"
@@ -68,20 +66,21 @@ class TestRunFiles:
             encoder=EncoderConfig(dim=1024, mz_bins=8_000, intensity_levels=32),
             cluster_threshold=0.35,
         )
-        serial = SpecHDPipeline(SpecHDConfig(**config)).run_files(paths)
-        parallel = SpecHDPipeline(
-            SpecHDConfig(
-                **config,
-                execution_backend=backend,
-                num_workers=workers,
-                encode_batch_size=7,
-            )
+        whole = SpecHDPipeline(SpecHDConfig(**config)).run_files(paths)
+        chopped = SpecHDPipeline(
+            SpecHDConfig(**config, encode_batch_size=batch_size)
         ).run_files(paths)
-        np.testing.assert_array_equal(parallel.labels, serial.labels)
-        assert parallel.kept_indices == serial.kept_indices
+        np.testing.assert_array_equal(chopped.labels, whole.labels)
+        assert chopped.kept_indices == whole.kept_indices
         np.testing.assert_array_equal(
-            parallel.hypervectors, serial.hypervectors
+            chopped.hypervectors, whole.hypervectors
         )
+
+    def test_missing_file_is_a_parse_error(self, pipeline, tmp_path):
+        from repro.errors import ParseError
+
+        with pytest.raises(ParseError, match="no such file"):
+            pipeline.run_files([tmp_path / "missing.mgf"])
 
     def test_run_files_gzip_matches_plain(self, dataset, pipeline, tmp_path):
         import gzip

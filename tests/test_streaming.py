@@ -1,4 +1,4 @@
-"""Stage-graph tests: deterministic output, backpressure, error paths."""
+"""Streaming dataflow tests: deterministic output, QC drops, error paths."""
 
 from __future__ import annotations
 
@@ -7,13 +7,11 @@ import pytest
 
 from repro.datasets import SyntheticConfig, generate_dataset
 from repro.errors import ConfigurationError, ParseError
-from repro.execution import EXECUTION_BACKENDS, ExecutionPool
 from repro.hdc import EncoderConfig, IDLevelEncoder
 from repro.io import SpectrumSource, write_mgf
 from repro.spectrum import MassSpectrum, PreprocessingConfig
 from repro.streaming import (
     EncodedBatch,
-    StreamConfig,
     StreamStats,
     stream_encoded_batches,
 )
@@ -45,48 +43,18 @@ def spectrum_files(dataset, tmp_path_factory):
     return paths
 
 
-def collect(paths, backend, workers, batch_size=7, **kwargs):
+def collect(paths, batch_size=7, **kwargs):
     return list(
         stream_encoded_batches(
-            SpectrumSource(paths),
-            PREPROCESSING,
-            ENCODER,
-            StreamConfig(
-                batch_size=batch_size, backend=backend, workers=workers
-            ),
-            **kwargs,
+            SpectrumSource(paths), PREPROCESSING, ENCODER, batch_size, **kwargs
         )
     )
 
 
-def assert_batches_equal(reference, candidate):
-    assert len(reference) == len(candidate)
-    for left, right in zip(reference, candidate):
-        assert (left.file_index, left.batch_index) == (
-            right.file_index,
-            right.batch_index,
-        )
-        assert (left.raw_start, left.raw_count) == (
-            right.raw_start,
-            right.raw_count,
-        )
-        assert left.identifiers == right.identifiers
-        np.testing.assert_array_equal(left.kept_offsets, right.kept_offsets)
-        np.testing.assert_array_equal(left.precursor_mz, right.precursor_mz)
-        np.testing.assert_array_equal(left.charge, right.charge)
-        np.testing.assert_array_equal(left.vectors, right.vectors)
-
-
 class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            StreamConfig(batch_size=0)
-        with pytest.raises(ConfigurationError):
-            StreamConfig(queue_depth=0)
-        with pytest.raises(ConfigurationError):
-            StreamConfig(backend="gpu")
-        with pytest.raises(ConfigurationError):
-            StreamConfig(workers=0)
+    def test_validation(self, spectrum_files):
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            collect(spectrum_files, batch_size=0)
 
     def test_encoder_config_mismatch_rejected(self, spectrum_files):
         other = IDLevelEncoder(EncoderConfig(dim=256, mz_bins=2_000))
@@ -102,18 +70,19 @@ class TestConfig:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize(
-        "backend,workers",
-        [("threads", 3), ("threads", 1), ("processes", 2)],
-    )
-    def test_backends_match_serial(self, spectrum_files, backend, workers):
-        reference = collect(spectrum_files, "serial", None)
-        assert_batches_equal(
-            reference, collect(spectrum_files, backend, workers)
-        )
+    def test_batches_follow_the_plan(self, spectrum_files):
+        batches = collect(spectrum_files)
+        source = SpectrumSource(spectrum_files)
+        expected = [
+            (file_index, batch_index, len(raw))
+            for file_index, batch_index, raw in source.iter_batches(7)
+        ]
+        assert [
+            (b.file_index, b.batch_index, b.raw_count) for b in batches
+        ] == expected
 
     def test_batches_never_span_files(self, spectrum_files):
-        for batch in collect(spectrum_files, "threads", 3, batch_size=1000):
+        for batch in collect(spectrum_files, batch_size=1000):
             # batch_size exceeds every file: exactly one batch per file.
             assert batch.batch_index == 0
 
@@ -121,7 +90,7 @@ class TestDeterminism:
         from repro.spectrum import preprocess_spectrum
 
         encoder = IDLevelEncoder(ENCODER)
-        batches = collect(spectrum_files, "serial", None, batch_size=5)
+        batches = collect(spectrum_files, batch_size=5)
         source = SpectrumSource(spectrum_files)
         for file_index, entry in enumerate(source.files):
             spectra = list(entry.read())
@@ -140,9 +109,7 @@ class TestDeterminism:
                 )
 
     def test_keep_spectra_carries_preprocessed(self, spectrum_files):
-        for batch in collect(
-            spectrum_files, "threads", 2, keep_spectra=True
-        ):
+        for batch in collect(spectrum_files, keep_spectra=True):
             assert batch.spectra is not None
             assert len(batch.spectra) == batch.num_kept
             assert [s.identifier for s in batch.spectra] == batch.identifiers
@@ -150,15 +117,12 @@ class TestDeterminism:
     def test_spectra_omitted_by_default(self, spectrum_files):
         assert all(
             batch.spectra is None
-            for batch in collect(spectrum_files, "serial", None)
+            for batch in collect(spectrum_files)
         )
 
 
 class TestQCDrops:
-    @pytest.mark.parametrize("backend,workers", [("serial", None), ("threads", 2)])
-    def test_dropped_counted_and_offsets_correct(
-        self, tmp_path, backend, workers
-    ):
+    def test_dropped_counted_and_offsets_correct(self, tmp_path):
         good = MassSpectrum(
             "good",
             500.0,
@@ -171,7 +135,7 @@ class TestQCDrops:
         )
         path = tmp_path / "mixed.mgf"
         write_mgf([good, bad, good.copy(), bad.copy(), good.copy()], path)
-        (batch,) = collect([path], backend, workers, batch_size=10)
+        (batch,) = collect([path], batch_size=10)
         assert batch.raw_count == 5
         assert batch.num_kept == 3
         assert batch.num_dropped == 2
@@ -183,24 +147,25 @@ class TestQCDrops:
         )
         path = tmp_path / "allbad.mgf"
         write_mgf([bad, bad.copy()], path)
-        (batch,) = collect([path], "serial", None, batch_size=10)
+        (batch,) = collect([path], batch_size=10)
         assert batch.num_kept == 0
         assert batch.num_dropped == 2
         assert batch.vectors.shape == (0, ENCODER.dim // 64)
 
 
 class TestStats:
-    @pytest.mark.parametrize(
-        "backend,workers",
-        [("serial", None), ("threads", 3), ("processes", 2)],
-    )
-    def test_counters(self, spectrum_files, backend, workers):
+    @pytest.mark.parametrize("batch_size", [1, 7, 1000])
+    def test_counters(self, spectrum_files, batch_size):
         stats = StreamStats()
-        batches = collect(spectrum_files, backend, workers, stats=stats)
+        batches = collect(spectrum_files, batch_size=batch_size, stats=stats)
         snapshot = stats.snapshot()
         assert snapshot["files_total"] == 3
         assert snapshot["files_done"] == 3
-        assert snapshot["batches_encoded"] == len(batches)
+        # Three files of 20 spectra; a batch never spans two of them.
+        assert snapshot["batches_encoded"] == len(batches) == (
+            3 * -(-20 // batch_size)
+        )
+        assert snapshot["spectra_parsed"] == 60
         assert snapshot["spectra_parsed"] == sum(b.raw_count for b in batches)
         assert snapshot["spectra_kept"] == sum(b.num_kept for b in batches)
 
@@ -224,68 +189,41 @@ class TestStats:
 
 
 class TestErrorPaths:
-    @pytest.fixture()
-    def corrupt_plan(self, spectrum_files, tmp_path):
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_mid_stream_parse_error_propagates(
+        self, spectrum_files, tmp_path, position
+    ):
         bad = tmp_path / "bad.mgf"
         bad.write_text(
             "BEGIN IONS\nTITLE=x\nPEPMASS=not-a-number\nEND IONS\n"
         )
-        return [spectrum_files[0], bad, spectrum_files[1]]
-
-    @pytest.mark.parametrize(
-        "backend,workers",
-        [("serial", None), ("threads", 3), ("processes", 2)],
-    )
-    def test_mid_stream_parse_error_propagates(
-        self, corrupt_plan, backend, workers
-    ):
-        with pytest.raises(ParseError):
-            collect(corrupt_plan, backend, workers)
-
-    def test_borrowed_pool_survives_stage_error(self, corrupt_plan):
-        with ExecutionPool("threads", 3) as pool:
-            with pytest.raises(ParseError):
-                list(
-                    stream_encoded_batches(
-                        SpectrumSource(corrupt_plan),
-                        PREPROCESSING,
-                        ENCODER,
-                        StreamConfig(backend="threads", workers=3),
-                        pool=pool,
-                    )
-                )
-            # Borrowed pools are never closed by the stage graph.
-            assert pool.submit(len, [1, 2]).result() == 2
-
-    @pytest.mark.parametrize("backend,workers", [("threads", 3), ("processes", 2)])
-    def test_early_close_unblocks_producers(
-        self, spectrum_files, backend, workers
-    ):
+        plan = list(spectrum_files[:2])
+        plan.insert(position, bad)
         batches = stream_encoded_batches(
-            SpectrumSource(spectrum_files),
-            PREPROCESSING,
-            ENCODER,
-            StreamConfig(
-                batch_size=2,
-                queue_depth=1,
-                backend=backend,
-                workers=workers,
-            ),
+            SpectrumSource(plan), PREPROCESSING, ENCODER, 7
         )
-        assert next(batches) is not None
-        # Closing the generator mid-stream must tear the stage pool down
-        # (blocked producers included) without hanging.
-        batches.close()
+        # Files ahead of the damaged one stream in full (20 spectra: three
+        # batches each); the damage surfaces on its own file, in plan order.
+        yielded = []
+        with pytest.raises(ParseError):
+            for batch in batches:
+                yielded.append(batch.file_index)
+        assert yielded == [
+            index for index in range(position) for _ in range(3)
+        ]
+
+    def test_missing_file_fails_before_any_batch(self, spectrum_files):
+        missing = spectrum_files[0].parent / "missing.mgf"
+        with pytest.raises(ParseError, match="no such file"):
+            SpectrumSource([spectrum_files[0], missing])
 
 
 class TestEncoderSharing:
-    def test_custom_item_memory_rejected(self, spectrum_files):
+    def test_custom_item_memory_is_used(self, spectrum_files):
         from repro.hdc.itemmemory import ItemMemory, ItemMemoryConfig
+        from repro.spectrum import preprocess_spectrum
 
-        # Workers rebuild encoders from encoder_config alone, so an
-        # encoder carrying a non-config-derived item memory would
-        # silently diverge on the processes backend; every backend must
-        # reject it up front.
+        # A shared encoder is used as given, item memory included.
         custom = ItemMemory(
             ItemMemoryConfig(
                 dim=ENCODER.dim,
@@ -294,22 +232,126 @@ class TestEncoderSharing:
                 seed=ENCODER.seed + 1,
             )
         )
-        with pytest.raises(ConfigurationError, match="item memory"):
-            list(
-                stream_encoded_batches(
-                    SpectrumSource(spectrum_files),
-                    PREPROCESSING,
-                    ENCODER,
-                    encoder=IDLevelEncoder(ENCODER, item_memory=custom),
-                )
-            )
+        encoder = IDLevelEncoder(ENCODER, item_memory=custom)
+        first = spectrum_files[:1]
+        (batch,) = collect(first, batch_size=1000, encoder=encoder)
+        kept = [
+            preprocess_spectrum(raw, PREPROCESSING)
+            for raw in SpectrumSource(first)
+        ]
+        kept = [spectrum for spectrum in kept if spectrum is not None]
+        np.testing.assert_array_equal(
+            batch.vectors, encoder.encode_batch(kept)
+        )
+        (default,) = collect(first, batch_size=1000)
+        assert not np.array_equal(batch.vectors, default.vectors)
 
-    def test_cold_encoder_threads_ingest(self, spectrum_files):
-        # Regression: concurrent clone() of a never-used encoder must
-        # not observe half-built augmented tables.
-        for _ in range(5):
-            cold = IDLevelEncoder(ENCODER)
-            batches = collect(
-                spectrum_files, "threads", 3, batch_size=3, encoder=cold
-            )
-            assert sum(b.num_kept for b in batches) == 60
+
+def _resolve(dotted):
+    """``"module:Attr.attr"`` -> the object."""
+    import importlib
+
+    module_name, _, attribute_path = dotted.partition(":")
+    target = importlib.import_module(module_name)
+    for attribute in attribute_path.split("."):
+        target = getattr(target, attribute)
+    return target
+
+
+#: Every option that chose another writer path, by owner and name.
+RETIRED_WRITER_OPTIONS = [
+    ("repro.pipeline:SpecHDConfig", "execution_backend"),
+    ("repro.pipeline:SpecHDConfig", "num_workers"),
+    ("repro.streaming:stream_encoded_batches", "config"),
+    ("repro.streaming:stream_encoded_batches", "pool"),
+    ("repro.store:StreamingIngestor", "queue_depth"),
+    ("repro.store:StreamingIngestor", "backend"),
+    ("repro.store:StreamingIngestor", "workers"),
+    ("repro.incremental:IncrementalClusterStore", "execution_backend"),
+    ("repro.incremental:IncrementalClusterStore", "num_workers"),
+    ("repro.incremental:IncrementalClusterStore.load", "execution_backend"),
+    ("repro.incremental:IncrementalClusterStore.load", "num_workers"),
+    (
+        "repro.incremental:IncrementalClusterStore.from_snapshot",
+        "execution_backend",
+    ),
+    ("repro.incremental:IncrementalClusterStore.from_snapshot", "num_workers"),
+    ("repro.store:ClusterRepository", "execution_backend"),
+    ("repro.store:ClusterRepository", "num_workers"),
+    ("repro.store:ClusterRepository.create", "execution_backend"),
+    ("repro.store:ClusterRepository.create", "num_workers"),
+    ("repro.store:ClusterRepository.open", "execution_backend"),
+    ("repro.store:ClusterRepository.open", "num_workers"),
+    ("repro.service:ServiceConfig", "backend"),
+    ("repro.service:ServiceConfig", "workers"),
+]
+
+#: Names that selected or served another writer path, by module.
+RETIRED_WRITER_NAMES = [
+    ("repro", "EXECUTION_BACKENDS"),
+    ("repro", "ExecutionPool"),
+    ("repro", "execution_map"),
+    ("repro", "StreamConfig"),
+    ("repro.streaming", "StreamConfig"),
+    ("repro.streaming", "DEFAULT_QUEUE_DEPTH"),
+    ("repro.pipeline", "cluster_bucket_labels"),
+]
+
+
+class TestOneWriterPath:
+    @pytest.mark.parametrize(
+        "owner,option",
+        RETIRED_WRITER_OPTIONS,
+        ids=[
+            f"{owner.partition(':')[2]}-{option}"
+            for owner, option in RETIRED_WRITER_OPTIONS
+        ],
+    )
+    def test_no_option_selects_a_writer_path(self, owner, option):
+        import inspect
+
+        assert option not in inspect.signature(_resolve(owner)).parameters
+
+    @pytest.mark.parametrize(
+        "module,name",
+        RETIRED_WRITER_NAMES,
+        ids=[f"{module}-{name}" for module, name in RETIRED_WRITER_NAMES],
+    )
+    def test_retired_name_is_gone(self, module, name):
+        import importlib
+
+        assert not hasattr(importlib.import_module(module), name)
+
+    def test_execution_module_is_gone(self):
+        import importlib.util
+
+        assert importlib.util.find_spec("repro.execution") is None
+
+    def test_one_batch_in_flight(self, spectrum_files):
+        stats = StreamStats()
+        batches = stream_encoded_batches(
+            SpectrumSource(spectrum_files), PREPROCESSING, ENCODER, 3,
+            stats=stats,
+        )
+        assert stats.batches_encoded == 0  # nothing runs before the ask
+        next(batches)
+        batches.close()
+        snapshot = stats.snapshot()
+        assert snapshot["batches_encoded"] == 1
+        assert snapshot["spectra_parsed"] == 3
+        assert snapshot["files_done"] == 0
+        assert set(snapshot) == {
+            "files_total", "files_done", "spectra_parsed", "spectra_kept",
+            "spectra_dropped", "batches_encoded", "batches_applied",
+            "spectra_applied",
+        }
+
+    def test_ingestor_rejects_bad_batch_size(self, tmp_path):
+        from repro.store import ClusterRepository, RepositoryConfig
+        from repro.store import StreamingIngestor
+
+        repository = ClusterRepository.create(
+            tmp_path / "repo", RepositoryConfig(encoder=ENCODER)
+        )
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            StreamingIngestor(repository, batch_size=0)
