@@ -914,7 +914,8 @@ def _cmd_repo_info(args: argparse.Namespace) -> int:
     print(f"stored     : {format_bytes(repository.stored_bytes())} "
           f"packed hypervectors")
     print(f"WAL        : {format_bytes(repository.wal_bytes())}")
-    print(f"kernels    : {kernel['popcount']} (numpy {kernel['numpy']})")
+    print(f"kernels    : {kernel['popcount']} (numpy {kernel['numpy']}), "
+          f"{kernel['scan']} scan")
     print("shards     :")
     for stats in repository.shard_stats():
         print(f"  shard {stats['shard']}: {stats['spectra']} spectra, "

@@ -64,9 +64,12 @@ def unpack_bits(packed: np.ndarray, dim: int) -> np.ndarray:
     return bits[:, :dim]
 
 
-def popcount(words: np.ndarray) -> np.ndarray:
-    """Per-element population count (uint8) of a packed array (any shape)."""
-    return np.bitwise_count(np.asarray(words, dtype=np.uint64))
+def popcount(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-element population count (uint8) of a packed array (any shape).
+
+    ``out`` is an optional uint8 array of the same shape to count into.
+    """
+    return np.bitwise_count(np.asarray(words, dtype=np.uint64), out=out)
 
 
 def hamming_distance(first: np.ndarray, second: np.ndarray) -> np.ndarray:

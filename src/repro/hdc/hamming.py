@@ -6,11 +6,14 @@ rows, a condensed lower-triangular layout matching the on-chip distance
 memory, and 16-bit fixed-point quantization identical to the hardware's
 storage format.
 
-Every kernel is one broadcast :func:`~repro.hdc.bitops.hamming_distance`
-(XOR, hardware popcount, int64 reduction) per block of rows, with blocks
-sized so the XOR intermediate stays cache-resident — the software shape of
-the FPGA's unrolled distance array.  All distances are int64 except the
-condensed layout, which uses the hardware's uint16.
+The pairwise kernels are one broadcast
+:func:`~repro.hdc.bitops.hamming_distance` (XOR, hardware popcount, int64
+reduction) per block of rows, with blocks sized so the XOR intermediate
+stays cache-resident.  The query-side :func:`hamming_cross` streams a
+word-major reference matrix one word at a time into a uint16 accumulator
+— the software shape of the FPGA's unrolled distance array.  Pairwise
+distances are int64; the condensed layout and the cross scan use the
+hardware's uint16.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import EncodingError
-from .bitops import hamming_distance
+from .bitops import hamming_distance, popcount
 
 #: The FPGA stores distances as 16-bit fixed point; with D_hv <= 65535 the
 #: raw Hamming count always fits losslessly.
@@ -31,10 +34,10 @@ MAX_CONDENSED_DIM = np.iinfo(DISTANCE_DTYPE).max
 #: intermediate (block_rows, n, words) tensor inside the cache working set.
 _BLOCK_BYTES = 1 << 22
 
-#: Tile budget of the cross kernel.  Each XOR tile is written once and
-#: read back by the popcount, whose uint8 counts the reduction reads
-#: again, so the tile is sized to stay L2-resident.
-_CROSS_BLOCK_BYTES = 1 << 19
+#: Byte budget of one pass of the cross kernel's reused XOR buffer.  A
+#: word of a serving batch against a large shard exceeds it, so those
+#: scans go one word per pass; a small shard takes several words a pass.
+_CROSS_BLOCK_BYTES = 1 << 18
 
 
 def _block_rows(n: int, words: int) -> int:
@@ -44,12 +47,12 @@ def _block_rows(n: int, words: int) -> int:
     return max(1, _BLOCK_BYTES // (n * words * 8))
 
 
-def _guard_condensed_dim(words: int) -> None:
+def _guard_uint16_dim(words: int) -> None:
     """Reject packed widths whose distances could overflow DISTANCE_DTYPE."""
     dim = words * 64
     if dim > MAX_CONDENSED_DIM:
         raise EncodingError(
-            f"condensed distances use {DISTANCE_DTYPE.__name__}; "
+            f"distances are stored as {DISTANCE_DTYPE.__name__}; "
             f"dim {dim} (from {words} words) can exceed {MAX_CONDENSED_DIM}"
         )
 
@@ -94,47 +97,59 @@ def pairwise_hamming_blocked(
 
 def hamming_cross(
     queries: np.ndarray,
-    refs: np.ndarray,
+    refs_T: np.ndarray,
     block_rows: int | None = None,
 ) -> np.ndarray:
-    """Dense Hamming-distance matrix between two packed matrices (int64).
+    """Hamming distances (uint16) between query rows and word-major refs.
 
-    Returns shape ``(len(queries), len(refs))``, bit-identical to stacking
-    :func:`hamming_to_query` over the query rows.  The computation is
-    tiled over both query rows and reference rows so each XOR intermediate
-    stays near ``_CROSS_BLOCK_BYTES`` even when one side is a large medoid
-    matrix — this is the kernel the repository's batched shard scans are
-    built on.  ``block_rows`` overrides the query rows per tile.
+    ``refs_T`` is the reference matrix pre-transposed to ``(words, M)``
+    (``np.ascontiguousarray(refs.T)``), so word ``w`` of every reference
+    is one contiguous row.  The scan is word-major, like the FPGA's
+    distance lanes: per word, ``queries[:, w, None] ^ refs_T[w]`` goes
+    into one reused uint64 buffer, its popcount into one reused uint8
+    buffer, and the counts into a ``(len(queries), M)`` uint16
+    accumulator — bit-identical to :func:`hamming_to_query` per row.
+    When one word's buffer is far below ``_CROSS_BLOCK_BYTES`` (a small
+    shard), several words share a pass so the per-call cost of a small
+    shard is paid a few times rather than once per word.  ``block_rows``
+    caps the query rows per pass (default: all of them).  Dimensionalities
+    of 65,536 and up are rejected, since their counts overflow uint16.
     """
     queries = np.asarray(queries, dtype=np.uint64)
-    refs = np.asarray(refs, dtype=np.uint64)
-    if queries.ndim != 2 or refs.ndim != 2:
+    refs_T = np.ascontiguousarray(refs_T, dtype=np.uint64)
+    if queries.ndim != 2 or refs_T.ndim != 2:
         raise EncodingError("hamming_cross expects two 2-D packed matrices")
-    if queries.shape[1] != refs.shape[1]:
+    if queries.shape[1] != refs_T.shape[0]:
         raise EncodingError(
             "word-count mismatch between query and reference matrices"
         )
     num_queries, words = queries.shape
-    num_refs = refs.shape[0]
-    distances = np.zeros((num_queries, num_refs), dtype=np.int64)
-    if num_queries == 0 or num_refs == 0 or words == 0:
-        return distances
-    if block_rows is None:
-        # Enough query rows per tile to amortise the Python-level loop,
-        # capped so a full-width tile still fits the byte budget.
-        block_rows = min(
-            num_queries,
-            max(16, _CROSS_BLOCK_BYTES // (num_refs * words * 8)),
-        )
-    if block_rows < 1:
+    num_refs = refs_T.shape[1]
+    _guard_uint16_dim(words)
+    if block_rows is not None and block_rows < 1:
         raise EncodingError("block_rows must be >= 1")
-    ref_rows = max(1, _CROSS_BLOCK_BYTES // (block_rows * words * 8))
-    for lo in range(0, num_queries, block_rows):
-        hi = min(lo + block_rows, num_queries)
-        for ref_lo in range(0, num_refs, ref_rows):
-            ref_hi = min(ref_lo + ref_rows, num_refs)
-            distances[lo:hi, ref_lo:ref_hi] = _xor_popcount_block(
-                queries[lo:hi], refs[ref_lo:ref_hi]
+    distances = np.zeros((num_queries, num_refs), dtype=DISTANCE_DTYPE)
+    if distances.size == 0:
+        return distances
+    rows = min(block_rows or num_queries, num_queries)
+    group = max(1, min(words, _CROSS_BLOCK_BYTES // (rows * num_refs * 8)))
+    xor = np.empty((rows, group, num_refs), dtype=np.uint64)
+    counts = np.empty((rows, group, num_refs), dtype=np.uint8)
+    for lo in range(0, num_queries, rows):
+        hi = min(lo + rows, num_queries)
+        block = distances[lo:hi]
+        for first in range(0, words, group):
+            last = min(first + group, words)
+            block_xor = xor[: hi - lo, : last - first]
+            block_counts = counts[: hi - lo, : last - first]
+            np.bitwise_xor(queries[lo:hi, first:last, None],
+                           refs_T[None, first:last], out=block_xor)
+            popcount(block_xor, out=block_counts)
+            np.add(
+                block,
+                block_counts[:, 0] if group == 1
+                else block_counts.sum(axis=1, dtype=DISTANCE_DTYPE),
+                out=block,
             )
     return distances
 
@@ -180,7 +195,7 @@ def condensed_pairwise_hamming(
             "condensed_pairwise_hamming expects a 2-D packed matrix"
         )
     n, words = vectors.shape
-    _guard_condensed_dim(words)
+    _guard_uint16_dim(words)
     if block_rows is None:
         block_rows = _block_rows(n, words)
     if block_rows < 1:

@@ -7,4 +7,8 @@ import numpy as np
 
 def kernel_runtime() -> dict:
     """JSON-serialisable record for ``metrics`` / ``info`` / ``repo-info``."""
-    return {"popcount": "numpy.bitwise_count", "numpy": np.__version__}
+    return {
+        "popcount": "numpy.bitwise_count",
+        "numpy": np.__version__,
+        "scan": "word-major uint16",
+    }

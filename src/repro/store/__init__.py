@@ -17,17 +17,18 @@ a durable substrate.  This package provides it:
     shard, persisted as :class:`repro.io.HypervectorStore` segments.
 ``repro.store.query``
     :class:`QueryService` — batched top-k nearest clusters by packed
-    Hamming distance against shard medoids (one cross-Hamming pass per
-    shard per batch, shards scanned in the calling thread).
+    Hamming distance against shard medoids (one word-major Hamming scan
+    per shard per batch, shards scanned in the calling thread).
 ``repro.store.matches``
     :class:`MatchTable` — a query answer as flat columns from shard
     scan to client, rows of :class:`ClusterMatch` materialised on
     demand — and :func:`merge_topk`, the one ``(distance, shard, local
     label)`` merge the query service and the fleet router share.
 ``repro.store.index``
-    :class:`BitSliceMedoidIndex` — per-shard transposed bit-plane index
-    that prunes shard scans to a candidate set provably containing the
-    exact top-k.
+    :func:`batched_topk` — the ``(distance, ordinal)`` top-k selection
+    every shard scan ends in — and :class:`BitSliceMedoidIndex`, a
+    pruning index no query path uses, kept only for the stack benchmark
+    harness's import.
 ``repro.store.ingest``
     :class:`StreamingIngestor` — streaming ingest riding
     :mod:`repro.streaming`: parse/preprocess/encode one batch, then WAL

@@ -2,9 +2,11 @@
 
 A published checkpoint generation is an immutable directory
 (``segments/gen-NNNNNN/``) of a fixed, whitelisted vocabulary of files —
-per-shard stores, their state sidecars, optional bit-slice indexes, and
-the global catalog.  That immutability is what makes multi-node
-replication *file shipping*: this module enumerates a generation
+per-shard stores, their state sidecars and the global catalog (plus the
+``shard-NNNN.index.npz`` bit-slice index sidecars older checkpoints
+wrote, which still ship and verify but are never read).  That
+immutability is what makes multi-node replication *file shipping*:
+this module enumerates a generation
 (:func:`list_generation_files`, with sizes and SHA-256 digests), reads
 byte ranges of it (:func:`read_generation_chunk`), and installs an
 incoming one atomically (:class:`GenerationStager`).
@@ -36,7 +38,9 @@ from .snapshot import _write_pin
 
 #: The complete vocabulary of files a generation directory may contain.
 #: Replication refuses anything else — a transfer can never smuggle a
-#: path separator or an unexpected file into a repository.
+#: path separator or an unexpected file into a repository.  No checkpoint
+#: writes ``.index.npz`` any more; it stays so that generations older
+#: checkpoints wrote with that sidecar still list and replicate.
 _MEMBER_PATTERN = re.compile(
     r"^(shard-\d{4}(\.state\.json|\.index\.npz|\.npz)|catalog\.npz)$"
 )

@@ -1,47 +1,36 @@
-"""Exact bit-slice pruning index over one shard's medoid matrix.
+"""Top-k selection for shard scans, and the retired bit-slice index.
 
-The brute-force serving path is a dense XOR + popcount scan of every
-medoid (:func:`repro.hdc.hamming_cross`).  This module prunes that scan
-while keeping results provably exact.  The index stores a *transposed*
-(word-column) view of the medoid matrix: for each of ``probe_bits``
-sampled bit positions, one packed bitmap over medoids whose bit ``i`` is
-medoid ``i``'s value at that position — the bit-slice layout of
-signature files, here restricted to a sampled subset of planes so the
-filter costs roughly ``probe_bits / dim`` of a full scan.
+:func:`batched_topk` is the selection half of every shard scan
+(:mod:`repro.store.query`): the smallest ``k`` distances per row in
+``(distance, ordinal)`` order.
 
-Candidate generation is multi-probe and two-phase:
+:class:`BitSliceMedoidIndex` is an exact pruning index over one shard's
+medoid matrix that no production path uses any more: even where it
+prunes, the word-major dense scan beats it at every shard size
+measured.  It is kept only because the stack benchmark harness
+imports it and wraps its ``topk`` / ``candidate_mask`` by name; it goes
+together with that import.
 
-1.  Each query's mismatch bitmaps against all sampled planes are counted
-    with the carry-save adder network
-    (:func:`repro.hdc.bitops.csa_accumulate`), yielding every medoid's
-    Hamming distance restricted to the sampled positions — a *lower
-    bound* on its full distance, computed without touching the medoid
-    matrix itself.
-2.  The ``pilot`` medoids with the smallest bounds are scored exactly;
-    the k-th best exact pilot distance ``tau`` caps the answer, and the
-    candidate set is every medoid whose bound is at most ``tau``.
-
-Exactness: the global k-th nearest distance is at most ``tau`` (the
-pilot alone provides ``k`` distances no worse), and any medoid with full
-distance ``d <= tau`` has bound ``<= d <= tau``, so *every* medoid tied
-with or beating the k-th nearest — including all distance ties, which
-the caller breaks by medoid ordinal — lands in the candidate set.
-Medoids outside it have full distance strictly above ``tau`` and cannot
-appear in the exact top-k.  When the filter fails to prune (adversarial
-or contrast-free workloads) the index falls back to the dense scan, so
-it is never asymptotically worse than brute force.
+The index stores a *transposed* view of sampled bit planes: for each of
+``probe_bits`` sampled bit positions, one packed bitmap over medoids.
+Each query's mismatch count against those planes (summed with the
+carry-save adder network) is a *lower bound* on its full Hamming
+distance.  The ``pilot`` medoids with the smallest bounds are scored
+exactly; the k-th best exact pilot distance ``tau`` caps the answer, and
+every medoid whose bound is at most ``tau`` is a candidate — so every
+medoid tied with or beating the k-th nearest is verified, and the
+result is exact.  When the filter fails to prune the index falls back
+to the dense scan.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError, ParseError
+from ..errors import ConfigurationError
 from ..hdc import hamming_cross
 from ..hdc.bitops import (
     counts_from_planes,
@@ -59,16 +48,8 @@ from ..hdc.bitops import (
 #: dense scan at D_hv = 1024 (an eighth at 2048).
 PROBE_BITS = 256
 
-#: Medoid count from which a shard is indexed and served through its
-#: index; smaller shards scan densely, where probing costs more than it
-#: prunes.
-INDEX_MIN_MEDOIDS = 1024
-
-#: Format version written into an index file's metadata record.
-INDEX_FORMAT_VERSION = 1
-
 #: Fixed seed for plane sampling: the sampled layout is a pure function
-#: of (dim, probe_bits), so rebuilt and reloaded indexes agree bit-for-bit.
+#: of (dim, probe_bits), so two builds agree bit-for-bit.
 _INDEX_SEED = 0x5B17_51CE
 
 #: Minimum pilot size — more pilots tighten ``tau`` at negligible cost.
@@ -79,48 +60,12 @@ _PILOT_MIN = 32
 _FALLBACK_FRACTION = 0.25
 
 #: Byte budget of one mismatch-plane block in :meth:`lower_bounds`.
-#: Unlike the cross kernel's L2-sized tiles, the CSA fold streams each
-#: mismatch plane once, so large blocks win: they amortise the adder
-#: network's per-call setup over more queries.
+#: The CSA fold streams each mismatch plane once, so large blocks win:
+#: they amortise the adder network's per-call setup over more queries.
 _QUERY_BLOCK_BYTES = 1 << 24
 
 #: Candidate pairs verified per gather chunk in :meth:`topk`.
 _FLAT_CHUNK = 1 << 18
-
-
-def worth_indexing(medoid_count: int) -> bool:
-    """Whether a shard of ``medoid_count`` medoids is served indexed.
-
-    The one rule both the checkpoint (which persists indexes) and the
-    query service (which scans through them) apply.
-    """
-    return medoid_count >= INDEX_MIN_MEDOIDS
-
-
-def index_path(generation_dir: Union[str, Path], shard_id: int) -> Path:
-    """Where a checkpoint stores one shard's bit-slice index."""
-    return Path(generation_dir) / f"shard-{shard_id:04d}.index.npz"
-
-
-def load_checkpointed_indexes(
-    generation_dir: Union[str, Path], num_shards: int
-) -> Dict[int, "BitSliceMedoidIndex"]:
-    """Every shard index a checkpoint persisted in ``generation_dir``.
-
-    The files are a derived cache: a shard without one (too few medoids)
-    or with an unreadable one is left out, and the query service builds
-    its index from the medoids.
-    """
-    indexes: Dict[int, BitSliceMedoidIndex] = {}
-    for shard_id in range(num_shards):
-        path = index_path(generation_dir, shard_id)
-        if not path.exists():
-            continue
-        try:
-            indexes[shard_id] = BitSliceMedoidIndex.load(path)
-        except ParseError:
-            continue
-    return indexes
 
 
 def batched_topk(
@@ -276,7 +221,7 @@ class BitSliceMedoidIndex:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Exact batched top-k against the indexed medoid matrix.
 
-        Bit-identical to ``batched_topk(hamming_cross(queries, vectors), k)``
+        Bit-identical to ``batched_topk(hamming_cross(queries, vectors.T), k)``
         — same medoid ordinals, same distances, same ``(distance, ordinal)``
         tie order — but only candidate medoids are verified exactly.
         """
@@ -289,10 +234,10 @@ class BitSliceMedoidIndex:
         num_queries = queries.shape[0]
         keep = min(k, self.count)
         if num_queries == 0 or keep >= self.count:
-            return batched_topk(hamming_cross(queries, vectors), k)
+            return batched_topk(hamming_cross(queries, vectors.T), k)
         mask = self.candidate_mask(vectors, queries, k)
         if int(mask.sum()) > _FALLBACK_FRACTION * mask.size:
-            return batched_topk(hamming_cross(queries, vectors), k)
+            return batched_topk(hamming_cross(queries, vectors.T), k)
         query_ids, medoid_ids = np.nonzero(mask)
         exact = np.empty(query_ids.size, dtype=np.int64)
         for lo in range(0, query_ids.size, _FLAT_CHUNK):
@@ -318,47 +263,3 @@ class BitSliceMedoidIndex:
             exact[order][selected]
         )
         return indices, distances
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Write the index as an ``.npz`` (pickle-free) archive."""
-        meta = json.dumps(
-            {
-                "format_version": INDEX_FORMAT_VERSION,
-                "dim": self.dim,
-                "count": self.count,
-            }
-        )
-        np.savez(
-            path,
-            positions=self.positions,
-            planes=self.planes,
-            meta=np.array(meta),
-        )
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "BitSliceMedoidIndex":
-        """Read an index written by :meth:`save`."""
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                meta = json.loads(str(archive["meta"]))
-                if meta.get("format_version") != INDEX_FORMAT_VERSION:
-                    raise ParseError(
-                        f"unsupported index version {meta.get('format_version')}",
-                        str(path),
-                    )
-                return cls(
-                    dim=int(meta["dim"]),
-                    count=int(meta["count"]),
-                    positions=archive["positions"].astype(np.int64),
-                    planes=archive["planes"].astype(np.uint64),
-                )
-        except ParseError:
-            raise
-        except Exception as exc:  # np.load raises zip/OS/key errors
-            raise ParseError(
-                f"cannot read bit-slice index: {exc}", str(path)
-            ) from exc

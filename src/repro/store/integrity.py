@@ -2,8 +2,8 @@
 
 Every checkpoint (and every replicated install, which ships the
 checkpoint's manifest verbatim) records the SHA-256 digest and byte size
-of each generation artifact — shard segments, state sidecars, bit-slice
-indexes and the catalog — in the manifest's ``integrity`` map.  This
+of each generation artifact — shard segments, state sidecars and the
+catalog — in the manifest's ``integrity`` map.  This
 module verifies a generation directory against that map.
 
 Three policies, in decreasing cost:

@@ -2,22 +2,17 @@
 
 Every shard owns a disjoint set of clusters, so a query batch is encoded
 once and the populated shards are scanned one after another in the
-calling thread.  Each scan covers one shard's medoid matrix for the
-*whole batch at once* — one :func:`repro.hdc.hamming_cross` pass plus an
-``argpartition``-based top-k — the scan's ordinals gather a per-shard
+calling thread.  Every shard, whatever its size, is scanned one way:
+``batched_topk(hamming_cross(queries, medoids_T), k)`` — one word-major
+XOR + popcount pass of the whole batch over the shard's medoid matrix,
+kept transposed to ``(words, medoids)`` from one repository version to
+the next, plus an ``argpartition``-based top-k in ``(distance,
+ordinal)`` order.  The scan's ordinals gather a per-shard
 :class:`~repro.store.matches.MatchTable` out of the shard's medoid
 columns, and :func:`~repro.store.matches.merge_topk` — the same merge
 the fleet router runs over per-node answers — ranks the per-shard tables
-into the answer.  No per-match object is built.
-
-A shard with at least :data:`~repro.store.index.INDEX_MIN_MEDOIDS`
-medoids is scanned through its exact
-:class:`~repro.store.index.BitSliceMedoidIndex` (the checkpointed one
-while it is current, else one built on the first query after a change);
-a smaller shard is scanned densely, where probing costs more than it
-prunes.  Both scans return identical results — the index only prunes.
-The per-query oracle the batched scan is pinned to lives in
-:mod:`repro.testing.oracles`.
+into the answer.  No per-match object is built.  The per-query oracle
+the batched scan is pinned to lives in :mod:`repro.testing.oracles`.
 """
 
 from __future__ import annotations
@@ -29,12 +24,7 @@ import numpy as np
 
 from ..hdc import hamming_cross
 from ..spectrum import MassSpectrum, preprocess_spectrum
-from .index import (
-    PROBE_BITS,
-    BitSliceMedoidIndex,
-    batched_topk,
-    worth_indexing,
-)
+from .index import batched_topk
 from .matches import MatchTable, merge_topk
 from .repository import ClusterRepository
 
@@ -45,11 +35,12 @@ class _ShardIndex:
 
     shard_id: int
     local_labels: List[int]
-    medoid_vectors: np.ndarray
+    #: The medoid matrix word-major, ``(words, medoids)`` in
+    #: ``local_labels`` order — the layout :func:`hamming_cross` streams.
+    medoids_T: np.ndarray
     #: One row holding every medoid in ``local_labels`` order at distance
     #: 0 — the columns a scan's ordinals gather their matches out of.
     medoids: MatchTable
-    bitslice: Optional[BitSliceMedoidIndex] = None
 
     def topk(
         self, query_vectors: np.ndarray, k: int
@@ -60,11 +51,7 @@ class _ShardIndex:
         ``j``'s ``min(k, count)`` nearest medoid ordinals and Hamming
         distances, ascending by ``(distance, ordinal)``.
         """
-        if self.bitslice is not None:
-            return self.bitslice.topk(self.medoid_vectors, query_vectors, k)
-        return batched_topk(
-            hamming_cross(query_vectors, self.medoid_vectors), k
-        )
+        return batched_topk(hamming_cross(query_vectors, self.medoids_T), k)
 
 
 class QueryService:
@@ -73,7 +60,7 @@ class QueryService:
     ``repository`` is the read source: a live :class:`ClusterRepository`
     *or* a pinned :class:`~repro.store.snapshot.RepositorySnapshot` — the
     service only consumes the shared read surface (``shard``/``version``/
-    ``global_label``/``cached_query_index``/``manifest``/``encoder``).
+    ``global_label``/``manifest``/``encoder``).
     Over a snapshot the scan state is built once and never refreshed (a
     snapshot's version is frozen), which is the zero-lock serving path
     the cluster daemon uses while ingest and checkpoints proceed
@@ -86,30 +73,17 @@ class QueryService:
         self._indexes: List[_ShardIndex] = []
 
     # ------------------------------------------------------------------
-    # Index maintenance
+    # Scan state
     # ------------------------------------------------------------------
 
-    def _shard_bitslice(
-        self, shard_id: int, vectors: np.ndarray
-    ) -> Optional[BitSliceMedoidIndex]:
-        """The shard's bit-slice index: checkpoint-cached or built fresh."""
-        count = vectors.shape[0]
-        if not worth_indexing(count):
-            return None
-        dim = self.repository.encoder.dim
-        cached = self.repository.cached_query_index(shard_id)
-        if (
-            cached is not None
-            and cached.count == count
-            and cached.dim == dim
-            and cached.probe_bits == min(PROBE_BITS, dim)
-        ):
-            return cached
-        return BitSliceMedoidIndex.build(vectors, dim)
-
     def _refresh_indexes(self) -> None:
-        """Rebuild the medoid snapshots if the repository changed."""
-        if self._indexed_version == self.repository.version:
+        """Rebuild the medoid snapshots if the repository changed.
+
+        The version is read once, before building: a change that lands
+        mid-build leaves the stamp behind it, so the next query rebuilds.
+        """
+        version = self.repository.version
+        if self._indexed_version == version:
             return
         indexes: List[_ShardIndex] = []
         for shard_id in range(self.repository.num_shards):
@@ -129,7 +103,7 @@ class QueryService:
                 _ShardIndex(
                     shard_id=shard_id,
                     local_labels=labels,
-                    medoid_vectors=vectors,
+                    medoids_T=np.ascontiguousarray(vectors.T),
                     medoids=MatchTable.from_fields(
                         [len(labels)],
                         [s.identifier for s in medoids],
@@ -145,11 +119,10 @@ class QueryService:
                         medoid_precursor_mz=[s.precursor_mz for s in medoids],
                         medoid_charge=[s.precursor_charge for s in medoids],
                     ),
-                    bitslice=self._shard_bitslice(shard_id, vectors),
                 )
             )
         self._indexes = indexes
-        self._indexed_version = self.repository.version
+        self._indexed_version = version
 
     # ------------------------------------------------------------------
     # Queries

@@ -49,12 +49,6 @@ from ..spectrum import (
     preprocess_spectrum,
 )
 from . import fsio
-from .index import (
-    BitSliceMedoidIndex,
-    index_path,
-    load_checkpointed_indexes,
-    worth_indexing,
-)
 from .integrity import (
     check_verify_policy,
     integrity_records,
@@ -169,10 +163,6 @@ class ClusterRepository:
         self._closed = False
         #: Bumped on every state change; lets query services cache medoids.
         self.version = 0
-        #: Per-shard bit-slice query indexes persisted by the checkpoint,
-        #: valid only while ``version`` equals ``_query_index_version``.
-        self._query_indexes: Dict[int, BitSliceMedoidIndex] = {}
-        self._query_index_version = -1
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -268,18 +258,9 @@ class ClusterRepository:
                 )
         repository = cls(directory, manifest, shards, encoder)
         repository.verify_policy = verify
-        loaded_indexes: Dict[int, BitSliceMedoidIndex] = {}
         if manifest.generation > 0:
             repository._load_catalog(generation_dir)
-            loaded_indexes = load_checkpointed_indexes(
-                generation_dir, manifest.num_shards
-            )
         repository._replay_wal(recover=recover_wal)
-        if loaded_indexes and repository.version == 0:
-            # WAL replay applied nothing, so the checkpointed medoids —
-            # and therefore the checkpointed indexes — are still current.
-            repository._query_indexes = loaded_indexes
-            repository._query_index_version = repository.version
         return repository
 
     @staticmethod
@@ -289,8 +270,10 @@ class ClusterRepository:
     def snapshot(self, verify: Optional[str] = None) -> RepositorySnapshot:
         """Pin and open the last *published* generation for reading.
 
-        The snapshot shares this repository's encoder (one item memory
-        per process) but none of its mutable state: it sees exactly what
+        The snapshot shares this repository's item memory (one per
+        process) through an encoder clone, so a reader encoding on
+        another thread never shares the writer's encode scratch; it
+        shares none of the repository's mutable state: it sees exactly what
         :meth:`checkpoint` last wrote, and keeps seeing it while this
         repository ingests and checkpoints past it.  Batches applied
         since that checkpoint are invisible to the snapshot — checkpoint
@@ -299,7 +282,7 @@ class ClusterRepository:
         """
         return RepositorySnapshot.open(
             self.directory,
-            encoder=self.encoder,
+            encoder=self.encoder.clone(),
             verify=self.verify_policy if verify is None else verify,
         )
 
@@ -440,19 +423,6 @@ class ClusterRepository:
     def global_label(self, shard_id: int, local_label: int) -> int:
         """The global label assigned to a shard-local cluster."""
         return self._label_map[(shard_id, local_label)]
-
-    def cached_query_index(
-        self, shard_id: int
-    ) -> Optional[BitSliceMedoidIndex]:
-        """The shard's checkpointed bit-slice index, if still current.
-
-        Returns ``None`` once any ingest has changed cluster state since
-        the checkpoint that persisted the index — medoids may have moved,
-        so the query service must rebuild.
-        """
-        if self._query_index_version != self.version:
-            return None
-        return self._query_indexes.get(shard_id)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -777,7 +747,6 @@ class ClusterRepository:
                 generation_dir, stem=f"shard-{shard_id:04d}", compress=False
             )
         self._save_catalog(generation_dir)
-        query_indexes = self._save_query_indexes(generation_dir)
         # The WAL is truncated right after the manifest swap, so the new
         # generation must be on disk before the manifest names it: fsync
         # every segment file and the directory entries.
@@ -811,8 +780,6 @@ class ClusterRepository:
             self._poisoned = True
             raise
         self._wal_pending = 0
-        self._query_indexes = query_indexes
-        self._query_index_version = self.version
         # Retire every *unpinned* generation below the one the manifest
         # now names — not just the immediate predecessor, so generations
         # orphaned by a crash between manifest swap and cleanup get
@@ -840,31 +807,6 @@ class ClusterRepository:
             self.manifest.generation,
             partial_max_age_seconds=partial_max_age_seconds,
         )
-
-    def _save_query_indexes(
-        self, generation_dir: Path
-    ) -> Dict[int, BitSliceMedoidIndex]:
-        """Build and persist bit-slice query indexes for eligible shards.
-
-        Shards the query service scans densely (see
-        :func:`~repro.store.index.worth_indexing`) are skipped.  The saved
-        files ride in the generation directory, so the existing fsync +
-        sweep logic of :meth:`checkpoint` covers them.
-        """
-        indexes: Dict[int, BitSliceMedoidIndex] = {}
-        for shard_id, shard in enumerate(self._shards):
-            rows_by_label = shard.medoid_rows()
-            if not worth_indexing(len(rows_by_label)):
-                continue
-            medoid_rows = [
-                rows_by_label[label] for label in sorted(rows_by_label)
-            ]
-            index = BitSliceMedoidIndex.build(
-                shard.vectors_at(medoid_rows), self.encoder.dim
-            )
-            index.save(index_path(generation_dir, shard_id))
-            indexes[shard_id] = index
-        return indexes
 
     def _save_catalog(self, generation_dir: Path) -> None:
         map_items = sorted(

@@ -8,9 +8,9 @@ module decouples readers from the writer:
 * :meth:`ClusterRepository.checkpoint` publishes immutable **generations**
   (``segments/gen-NNNNNN/``) and never deletes one that a reader holds;
 * :class:`RepositorySnapshot` **pins** one published generation and
-  serves reads from it — memory-mapped segment payloads, the generation's
-  catalog and its checkpointed per-shard bit-slice indexes, all
-  read-only, with zero coordination against concurrent ingest;
+  serves reads from it — memory-mapped segment payloads and the
+  generation's catalog, all read-only, with zero coordination against
+  concurrent ingest;
 * a **retirement sweep** (:func:`sweep_generations`, run by every
   checkpoint) deletes superseded generations only once no live pin
   references them.
@@ -45,7 +45,6 @@ import numpy as np
 from ..errors import ConfigurationError, IntegrityError, SpecHDError
 from ..hdc import IDLevelEncoder
 from ..incremental import IncrementalClusterStore
-from .index import BitSliceMedoidIndex, load_checkpointed_indexes
 from .manifest import RepositoryManifest
 
 #: Directory (inside a repository) holding generation pin files.
@@ -216,7 +215,7 @@ class RepositorySnapshot:
     of the same generation share page cache rather than multiplying RAM.
 
     The surface mirrors the read side of :class:`ClusterRepository`
-    (``shard``/``global_label``/``cached_query_index``/``labels``/…),
+    (``shard``/``global_label``/``labels``/…),
     which is exactly what :class:`~repro.store.QueryService` consumes —
     a query service is constructed over either interchangeably.
     ``version`` is the pinned generation and never changes, so a query
@@ -231,14 +230,12 @@ class RepositorySnapshot:
         shards: List[IncrementalClusterStore],
         encoder: IDLevelEncoder,
         pin_path: Optional[Path],
-        query_indexes: Dict[int, BitSliceMedoidIndex],
     ) -> None:
         self.directory = directory
         self.manifest = manifest
         self.encoder = encoder
         self._shards = shards
         self._pin_path = pin_path
-        self._query_indexes = query_indexes
         self._row_shard: List[int] = []
         self._row_local: List[int] = []
         self._label_map: Dict[tuple, int] = {}
@@ -357,14 +354,7 @@ class RepositorySnapshot:
                         encoder=shared,
                     )
                 )
-        query_indexes = (
-            load_checkpointed_indexes(generation_dir, manifest.num_shards)
-            if manifest.generation > 0
-            else {}
-        )
-        snapshot = cls(
-            directory, manifest, shards, shared, pin_path, query_indexes
-        )
+        snapshot = cls(directory, manifest, shards, shared, pin_path)
         if manifest.generation > 0:
             snapshot._load_catalog(generation_dir)
         return snapshot
@@ -437,16 +427,6 @@ class RepositorySnapshot:
 
     def global_label(self, shard_id: int, local_label: int) -> int:
         return self._label_map[(shard_id, local_label)]
-
-    def cached_query_index(
-        self, shard_id: int
-    ) -> Optional[BitSliceMedoidIndex]:
-        """The generation's checkpointed bit-slice index, if present.
-
-        Always current for a snapshot: the generation is immutable, so
-        the index persisted with it never goes stale.
-        """
-        return self._query_indexes.get(shard_id)
 
     def labels(self) -> np.ndarray:
         """Global cluster label per spectrum, as of this generation."""

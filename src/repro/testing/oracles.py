@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 
 def _bits(packed: np.ndarray) -> np.ndarray:
     """int64 0/1 matrix ``(rows, words * 64)`` of a 2-D packed matrix."""
-    packed = np.asarray(packed, dtype=np.uint64)
+    packed = np.ascontiguousarray(packed, dtype=np.uint64)
     return unpack_bits(packed, packed.shape[1] * WORD_BITS).astype(np.int64)
 
 
@@ -114,7 +114,7 @@ def query_matches(
     service._refresh_indexes()
     populated = [index for index in service._indexes if index.local_labels]
     outcomes = [
-        shard_topk(index.medoid_vectors, query_vectors, k)
+        shard_topk(index.medoids_T.T, query_vectors, k)
         for index in populated
     ]
     dim = float(service.repository.encoder.dim)

@@ -58,45 +58,66 @@ class TestCrossDistance:
         expected = np.stack(
             [hamming_to_query(refs, query) for query in queries]
         )
-        np.testing.assert_array_equal(hamming_cross(queries, refs), expected)
+        np.testing.assert_array_equal(hamming_cross(queries, refs.T), expected)
 
     def test_block_size_is_invisible(self, rng):
         queries = random_hypervectors(17, 192, rng)
         refs = random_hypervectors(31, 192, rng)
-        reference = hamming_cross(queries, refs)
+        reference = hamming_cross(queries, refs.T)
         for block_rows in (1, 2, 5, 17, 100):
             np.testing.assert_array_equal(
-                hamming_cross(queries, refs, block_rows=block_rows),
+                hamming_cross(queries, refs.T, block_rows=block_rows),
                 reference,
             )
+
+    @pytest.mark.parametrize("words_per_pass", [1, 2, 5, 17])
+    def test_word_grouping_is_invisible(self, rng, monkeypatch,
+                                        words_per_pass):
+        # 17 words: one per pass, ragged pairs, ragged fives, all at once.
+        import repro.hdc.hamming as hamming_module
+
+        queries = random_hypervectors(6, 17 * 64, rng)
+        refs = random_hypervectors(9, 17 * 64, rng)
+        queries[:, 0] |= np.uint64(1 << 63)
+        monkeypatch.setattr(
+            hamming_module, "_CROSS_BLOCK_BYTES", words_per_pass * 6 * 9 * 8
+        )
+        np.testing.assert_array_equal(
+            hamming_cross(queries, refs.T),
+            oracles.cross_hamming(queries, refs),
+        )
+        np.testing.assert_array_equal(
+            hamming_cross(queries, refs.T, block_rows=4),
+            oracles.cross_hamming(queries, refs),
+        )
 
     def test_empty_sides(self, rng):
         queries = random_hypervectors(4, 128, rng)
         refs = random_hypervectors(6, 128, rng)
-        assert hamming_cross(queries[:0], refs).shape == (0, 6)
-        assert hamming_cross(queries, refs[:0]).shape == (4, 0)
-        assert hamming_cross(queries[:0], refs[:0]).shape == (0, 0)
+        assert hamming_cross(queries[:0], refs.T).shape == (0, 6)
+        assert hamming_cross(queries, refs[:0].T).shape == (4, 0)
+        assert hamming_cross(queries[:0], refs[:0].T).shape == (0, 0)
 
     def test_single_row_each_side(self, rng):
         queries = random_hypervectors(1, 128, rng)
         refs = random_hypervectors(1, 128, rng)
-        cross = hamming_cross(queries, refs)
+        cross = hamming_cross(queries, refs.T)
         assert cross.shape == (1, 1)
         assert cross[0, 0] == hamming_to_query(refs, queries[0])[0]
 
     def test_identical_rows_give_zero(self, rng):
         vectors = random_hypervectors(5, 256, rng)
-        cross = hamming_cross(vectors, vectors)
+        cross = hamming_cross(vectors, vectors.T)
         np.testing.assert_array_equal(np.diag(cross), np.zeros(5, np.int64))
 
     def test_shape_errors(self, rng):
         vectors = random_hypervectors(4, 128, rng)
         with pytest.raises(EncodingError):
-            hamming_cross(vectors[0], vectors)
+            hamming_cross(vectors[0], vectors.T)
         with pytest.raises(EncodingError):
-            hamming_cross(vectors, vectors[:, :1])
+            hamming_cross(vectors, vectors[:, :1].T)
         with pytest.raises(EncodingError):
-            hamming_cross(vectors, vectors, block_rows=0)
+            hamming_cross(vectors, vectors.T, block_rows=0)
 
 
 class TestCondensedLayout:
@@ -163,6 +184,21 @@ class TestDistanceDtypeOverflowGuard:
         condensed = condensed_pairwise_hamming(vectors)
         assert condensed.tolist() == [1023 * 64]
 
+    def test_cross_rejects_oversized_dim(self):
+        # The cross scan accumulates in uint16 too: dim >= 65536 refused,
+        # even when one side is empty.
+        vectors = np.zeros((2, 1024), dtype=np.uint64)
+        for queries, refs in ((vectors, vectors), (vectors[:0], vectors)):
+            with pytest.raises(EncodingError, match="65535"):
+                hamming_cross(queries, refs.T)
+
+    def test_cross_accepts_boundary_dim(self):
+        vectors = np.zeros((2, 1023), dtype=np.uint64)
+        vectors[0, :] = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+        assert hamming_cross(vectors[:1], vectors.T).tolist() == [
+            [0, 1023 * 64]
+        ]
+
 
 class TestWidthMismatch:
     """Packed operands of different word counts are an EncodingError."""
@@ -172,7 +208,7 @@ class TestWidthMismatch:
         [
             lambda a, b: hamming_distance(a[:, None, :], b[None, :, :]),
             lambda a, b: hamming_to_query(a, b[0]),
-            lambda a, b: hamming_cross(a, b),
+            lambda a, b: hamming_cross(a, b.T),
         ],
         ids=["hamming_distance", "hamming_to_query", "hamming_cross"],
     )
@@ -182,11 +218,13 @@ class TestWidthMismatch:
 
 
 class TestResultDtypes:
-    def test_distances_are_int64_condensed_is_uint16(self, vectors):
+    def test_distances_are_int64_condensed_and_cross_are_uint16(
+        self, vectors
+    ):
         # uint64 distances would promote to float64 against int64 ones.
         assert hamming_distance(vectors, vectors[:1]).dtype == np.int64
         assert hamming_distance(vectors[0], vectors[1]).dtype == np.int64
         assert hamming_to_query(vectors, vectors[0]).dtype == np.int64
-        assert hamming_cross(vectors, vectors).dtype == np.int64
+        assert hamming_cross(vectors, vectors.T).dtype == np.uint16
         assert pairwise_hamming_blocked(vectors).dtype == np.int64
         assert condensed_pairwise_hamming(vectors).dtype == np.uint16

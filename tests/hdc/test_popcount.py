@@ -25,8 +25,10 @@ from repro.testing import oracles
 
 
 @st.composite
-def packed_matrices(draw, max_rows=6, max_words=5, words=None, signed=False):
-    rows = draw(st.integers(1, max_rows))
+def packed_matrices(
+    draw, max_rows=6, max_words=5, words=None, signed=False, min_rows=1
+):
+    rows = draw(st.integers(min_rows, max_rows))
     if words is None:
         words = draw(st.integers(1, max_words))
     bounds = (-(2**63), 2**63 - 1) if signed else (0, 2**64 - 1)
@@ -77,19 +79,33 @@ class TestPopcount:
         assert kernel_runtime() == {
             "popcount": "numpy.bitwise_count",
             "numpy": np.__version__,
+            "scan": "word-major uint16",
         }
 
 
 class TestHammingKernels:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_hamming_cross_matches_oracle(self, data):
-        queries = data.draw(packed_matrices())
-        refs = data.draw(packed_matrices(words=queries.shape[1]))
-        block_rows = data.draw(st.none() | st.integers(1, 7))
-        got = hamming_cross(queries, refs, block_rows=block_rows)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, _cross_oracle(queries, refs))
+    def test_hamming_cross_matches_per_row_oracle(self, data):
+        # One word (no accumulation), a full 1,024-bit row and one word
+        # past it; either side may be empty, and signed draws set the
+        # sign bit of about half the words.
+        words = data.draw(st.sampled_from([1, 16, 17]))
+        signed = data.draw(st.booleans())
+        queries = data.draw(packed_matrices(
+            max_rows=5, words=words, signed=signed, min_rows=0
+        ))
+        refs = data.draw(packed_matrices(
+            max_rows=7, words=words, signed=signed, min_rows=0
+        ))
+        block_rows = data.draw(st.none() | st.integers(1, 6))
+        got = hamming_cross(queries, refs.T, block_rows=block_rows)
+        assert got.dtype == np.uint16
+        assert got.shape == (len(queries), len(refs))
+        for row, query in enumerate(queries.view(np.uint64)):
+            np.testing.assert_array_equal(
+                got[row], oracles.cross_hamming(query[None], refs)[0]
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -119,7 +135,7 @@ DISTANCE_ENTRY_POINTS = {
         lambda m: oracles.pairwise_hamming(m)[0],
     ),
     "hamming_cross": (
-        lambda m: hamming_cross(m, m[::-1], block_rows=2),
+        lambda m: hamming_cross(m, m[::-1].T, block_rows=2),
         lambda m: oracles.pairwise_hamming(m)[:, ::-1],
     ),
     "pairwise_hamming_blocked": (

@@ -2,9 +2,9 @@
 
 Two invariants back the serving path's exactness story:
 
-* :func:`repro.hdc.hamming_cross` is the batched twin of
-  :func:`repro.hdc.hamming_to_query` — equal on every row, for every
-  shape including empty and single-row matrices;
+* :func:`repro.hdc.hamming_cross` over the word-major reference matrix
+  is the batched twin of :func:`repro.hdc.hamming_to_query` — equal on
+  every row, for every shape including empty and single-row matrices;
 * the bit-slice medoid index is a *pruner, not an approximator*: its
   candidate set always contains the exact brute-force top-k, and its
   ``topk`` output is byte-identical to the dense scan, across probe
@@ -61,7 +61,7 @@ class TestHammingCrossEquivalence:
     @settings(max_examples=120, deadline=None)
     def test_equals_stacked_query_rows(self, pair):
         queries, refs = pair
-        cross = hamming_cross(queries, refs)
+        cross = hamming_cross(queries, refs.T)
         assert cross.shape == (queries.shape[0], refs.shape[0])
         expected = np.zeros(cross.shape, dtype=np.int64)
         for row, query in enumerate(queries):
@@ -73,8 +73,8 @@ class TestHammingCrossEquivalence:
     def test_blocking_is_invisible(self, pair, block_rows):
         queries, refs = pair
         np.testing.assert_array_equal(
-            hamming_cross(queries, refs, block_rows=block_rows),
-            hamming_cross(queries, refs),
+            hamming_cross(queries, refs.T, block_rows=block_rows),
+            hamming_cross(queries, refs.T),
         )
 
 
@@ -84,7 +84,7 @@ class TestBitSliceIndexExactness:
     def test_candidates_contain_brute_force_topk(self, workload):
         vectors, queries, dim, k, probe_bits = workload
         index = BitSliceMedoidIndex.build(vectors, dim, probe_bits=probe_bits)
-        brute_ids, _ = batched_topk(hamming_cross(queries, vectors), k)
+        brute_ids, _ = batched_topk(hamming_cross(queries, vectors.T), k)
         mask = index.candidate_mask(vectors, queries, k)
         for query in range(queries.shape[0]):
             assert mask[query, brute_ids[query]].all(), (
@@ -97,7 +97,7 @@ class TestBitSliceIndexExactness:
         vectors, queries, dim, k, probe_bits = workload
         index = BitSliceMedoidIndex.build(vectors, dim, probe_bits=probe_bits)
         brute_ids, brute_distances = batched_topk(
-            hamming_cross(queries, vectors), k
+            hamming_cross(queries, vectors.T), k
         )
         indexed_ids, indexed_distances = index.topk(vectors, queries, k)
         np.testing.assert_array_equal(indexed_ids, brute_ids)

@@ -345,6 +345,7 @@ class TestWriterAndCheckpointer:
             with ServiceClient(port=service.port) as client:
                 assert client.info()["kernel"] == kernel_runtime()
                 assert client.metrics()["kernel"] == kernel_runtime()
+        assert kernel_runtime()["scan"] == "word-major uint16"
 
 
 class TestProtocolCodecs:

@@ -189,13 +189,15 @@ class TestRepoInfoCommand:
             if line.startswith("kernels")
         ]
         assert kernel_lines == [
-            f"kernels    : numpy.bitwise_count (numpy {np.__version__})"
+            f"kernels    : numpy.bitwise_count (numpy {np.__version__}), "
+            "word-major uint16 scan"
         ]
         assert main(["repo-info", str(repo), "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["kernel"] == {
             "popcount": "numpy.bitwise_count",
             "numpy": np.__version__,
+            "scan": "word-major uint16",
         }
 
 

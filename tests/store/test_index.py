@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ParseError
+from repro.errors import ConfigurationError
 from repro.hdc import hamming_cross, random_hypervectors
 from repro.store import BitSliceMedoidIndex, batched_topk
 
@@ -80,7 +80,7 @@ class TestIndexQueries:
         queries = random_hypervectors(11, 256, rng)
         queries[0] = medoids[0]  # exact, triple-tied hit
         index = BitSliceMedoidIndex.build(medoids, 256, probe_bits=probe_bits)
-        brute = batched_topk(hamming_cross(queries, medoids), k)
+        brute = batched_topk(hamming_cross(queries, medoids.T), k)
         indexed = index.topk(medoids, queries, k)
         np.testing.assert_array_equal(indexed[0], brute[0])
         np.testing.assert_array_equal(indexed[1], brute[1])
@@ -89,7 +89,7 @@ class TestIndexQueries:
         queries = random_hypervectors(5, 256, rng)
         index = BitSliceMedoidIndex.build(medoids, 256, probe_bits=64)
         bounds = index.lower_bounds(queries)
-        distances = hamming_cross(queries, medoids)
+        distances = hamming_cross(queries, medoids.T)
         assert (bounds <= distances).all()
         full = BitSliceMedoidIndex.build(medoids, 256, probe_bits=256)
         np.testing.assert_array_equal(full.lower_bounds(queries), distances)
@@ -113,42 +113,3 @@ class TestIndexQueries:
         index = BitSliceMedoidIndex.build(medoids, 256, probe_bits=16)
         with pytest.raises(ConfigurationError):
             index.topk(medoids[:10], random_hypervectors(2, 256, rng), 3)
-
-
-class TestIndexPersistence:
-    def test_round_trip(self, medoids, tmp_path, rng):
-        index = BitSliceMedoidIndex.build(medoids, 256, probe_bits=48)
-        path = tmp_path / "shard.index.npz"
-        index.save(path)
-        restored = BitSliceMedoidIndex.load(path)
-        assert restored.dim == index.dim
-        assert restored.count == index.count
-        np.testing.assert_array_equal(restored.positions, index.positions)
-        np.testing.assert_array_equal(restored.planes, index.planes)
-        queries = random_hypervectors(4, 256, rng)
-        original = index.topk(medoids, queries, 5)
-        loaded = restored.topk(medoids, queries, 5)
-        np.testing.assert_array_equal(original[0], loaded[0])
-        np.testing.assert_array_equal(original[1], loaded[1])
-
-    def test_corrupt_file_rejected(self, tmp_path):
-        path = tmp_path / "broken.index.npz"
-        path.write_bytes(b"not a zip archive")
-        with pytest.raises(ParseError):
-            BitSliceMedoidIndex.load(path)
-
-    def test_forward_version_rejected(self, medoids, tmp_path):
-        import json
-
-        index = BitSliceMedoidIndex.build(medoids, 256, probe_bits=16)
-        path = tmp_path / "future.index.npz"
-        np.savez(
-            path,
-            positions=index.positions,
-            planes=index.planes,
-            meta=np.array(json.dumps(
-                {"format_version": 99, "dim": 256, "count": 64}
-            )),
-        )
-        with pytest.raises(ParseError):
-            BitSliceMedoidIndex.load(path)

@@ -108,6 +108,14 @@ class TestSnapshotIsolation:
                     np.zeros((2, 16), dtype=np.uint64), k=3
                 ) == [[], []]
 
+    def test_snapshot_encodes_with_a_private_clone(self, repository):
+        # A reader thread encoding queries on the snapshot must never share
+        # encode scratch with the writer's encoder (they race otherwise).
+        with repository.snapshot() as snapshot:
+            assert snapshot.encoder is not repository.encoder
+            shared = repository.encoder.item_memory
+            assert snapshot.encoder.item_memory is shared
+
     def test_snapshot_lags_unckeckpointed_wal(self, repository, repo_dataset):
         repository.add_batch(first_half(repo_dataset))
         repository.checkpoint()

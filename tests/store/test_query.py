@@ -88,13 +88,16 @@ class TestOneScanPath:
             f.name for f in dataclasses.fields(RepositoryConfig)
         } & {"index_probe_bits", "index_min_medoids"}
 
-    def test_index_threshold_is_the_medoid_count(self):
-        from repro.store.index import INDEX_MIN_MEDOIDS, worth_indexing
+    def test_no_checkpointed_index_surface(self):
+        from repro.store import RepositorySnapshot
+        from repro.store import index as index_module
 
-        assert not worth_indexing(0)
-        assert not worth_indexing(INDEX_MIN_MEDOIDS - 1)
-        assert worth_indexing(INDEX_MIN_MEDOIDS)
-        assert worth_indexing(20_000)
+        for reader in (ClusterRepository, RepositorySnapshot):
+            assert not hasattr(reader, "cached_query_index")
+        assert not hasattr(ClusterRepository, "_save_query_indexes")
+        for name in ("INDEX_MIN_MEDOIDS", "worth_indexing", "index_path",
+                     "load_checkpointed_indexes", "INDEX_FORMAT_VERSION"):
+            assert not hasattr(index_module, name)
 
 
 class TestIndexMaintenance:
@@ -115,4 +118,35 @@ class TestIndexMaintenance:
         assert service._indexed_version == repository.version
         assert after[0][0].global_label == before[0][0].global_label
         assert repository.num_clusters >= clusters_before
+        service.close()
+
+    def test_change_during_rebuild_is_not_marked_seen(
+        self, tmp_path, repo_config, repo_dataset
+    ):
+        half = len(repo_dataset) // 2
+        repository = ClusterRepository.create(tmp_path / "repo", repo_config)
+        repository.add_batch(repo_dataset.spectra[:half])
+        queries = repo_dataset.spectra[:: max(1, len(repo_dataset) // 8)]
+        service = QueryService(repository)
+        built_at = repository.version
+        shard = repository.shard
+        last = repository.num_shards - 1
+        landed = []
+
+        def shard_with_ingest(shard_id):
+            # An add_batch lands while the service is mid-build: after
+            # every shard but the last has been snapshotted.
+            if shard_id == last and not landed:
+                landed.append(True)
+                repository.add_batch(repo_dataset.spectra[half:])
+            return shard(shard_id)
+
+        repository.shard = shard_with_ingest
+        during = service.query(queries, k=3)
+        del repository.shard
+        assert landed
+        assert service._indexed_version == built_at < repository.version
+        after = service.query(queries, k=3)
+        assert after == QueryService(repository).query(queries, k=3)
+        assert after != during
         service.close()
