@@ -60,9 +60,7 @@ class HyperSpecHAC(ClusteringTool):
                 labels[members[0]] = next_label
                 next_label += 1
                 continue
-            distances = pairwise_hamming_blocked(
-                hypervectors[members]
-            ).astype(float)
+            distances = pairwise_hamming_blocked(hypervectors[members])
             result = nn_chain_linkage(distances, self.linkage)
             bucket_labels = cut_at_height(result, threshold_bits)
             next_label = assign_bucket_labels(
@@ -103,9 +101,7 @@ class HyperSpecDBSCAN(ClusteringTool):
             if len(members) == 1:
                 labels[members[0]] = -1
                 continue
-            distances = pairwise_hamming_blocked(
-                hypervectors[members]
-            ).astype(float)
+            distances = pairwise_hamming_blocked(hypervectors[members])
             bucket_labels = dbscan_precomputed(
                 distances,
                 DBSCANConfig(eps=eps_bits, min_samples=self.min_samples),

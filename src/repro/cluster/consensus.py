@@ -38,6 +38,7 @@ def medoid_index(distances: np.ndarray, members: np.ndarray) -> int:
 
     The medoid minimises the average distance to the other members; the
     lowest index wins ties, matching the hardware's first-match comparator.
+    Unsigned counts (the pipeline's uint16 matrices) sum in uint64.
     """
     members = np.asarray(members, dtype=np.int64)
     if members.size == 0:

@@ -147,11 +147,11 @@ def prepare_distances(linkage: str, distances: np.ndarray) -> np.ndarray:
 
     Ward's criterion is defined on *squared* Euclidean-like distances; the
     other criteria consume distances as-is.  The returned array is always a
-    fresh ``float64`` copy safe to mutate in place.
+    fresh ``float64`` copy safe to mutate in place, and the only one made.
     """
     distances = np.array(distances, dtype=np.float64, copy=True)
     if validate_linkage(linkage) == "ward":
-        return distances ** 2
+        np.square(distances, out=distances)
     return distances
 
 

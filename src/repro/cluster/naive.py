@@ -11,14 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ClusteringError
-from .linkage import (
-    finalize_heights,
-    prepare_distances,
-    update_distance_rows,
-    validate_linkage,
-)
-from .nnchain import ClusteringStats, LinkageResult, _validate_square
+from .linkage import finalize_heights, prepare_distances, validate_linkage
+from .nnchain import ClusteringStats, LinkageResult, _merge, _validate_square
 
 
 def naive_linkage(
@@ -53,36 +47,10 @@ def naive_linkage(
         row_local, col_local = divmod(flat_index, num_active)
         first = int(active_indices[min(row_local, col_local)])
         second = int(active_indices[max(row_local, col_local)])
-        merge_height = matrix[first, second]
-
-        merges[merge_count, 0] = cluster_ids[first]
-        merges[merge_count, 1] = cluster_ids[second]
-        merges[merge_count, 2] = merge_height
-        merges[merge_count, 3] = sizes[first] + sizes[second]
-
-        others = active.copy()
-        others[first] = False
-        others[second] = False
-        other_indices = np.flatnonzero(others)
-        if other_indices.size:
-            new_row = update_distance_rows(
-                linkage,
-                matrix[first, other_indices],
-                matrix[second, other_indices],
-                float(merge_height),
-                int(sizes[first]),
-                int(sizes[second]),
-                sizes[other_indices],
-            )
-            matrix[first, other_indices] = new_row
-            matrix[other_indices, first] = new_row
-            stats.distance_updates += int(other_indices.size)
-
-        sizes[first] += sizes[second]
+        _merge(linkage, matrix, sizes, cluster_ids, merges, merge_count,
+               first, second)
+        stats.distance_updates += num_active - 2
         active[second] = False
-        matrix[second, :] = np.inf
-        matrix[:, second] = np.inf
-        cluster_ids[first] = n + merge_count
         stats.merges += 1
 
     merges[:, 2] = finalize_heights(linkage, merges[:, 2])

@@ -10,11 +10,15 @@ linkage (single, complete, average, Ward all qualify).
 The implementation mirrors the hardware:
 
 * a dense distance matrix (the FPGA keeps the lower triangle in BRAM with
-  16-bit fixed point; we keep a float64 square matrix for generality),
+  16-bit fixed point; we take any non-negative square matrix, typically
+  the uint16 one from :func:`repro.hdc.pairwise_hamming_blocked`, and make
+  one float64 working copy for the Lance–Williams updates),
 * a chain stack (`Chain BRAM`),
 * per-cluster sizes and liveness flags (the hardware's correction factors
-  and deleted-cluster compaction),
-* Lance–Williams row updates after each merge.
+  and deleted-cluster compaction); a merged-away cluster's row and column
+  and the diagonal hold ``+inf``, so a nearest-neighbour scan reads the
+  anchor's row as it stands,
+* Lance–Williams row updates after each merge, one whole row at a time.
 
 Operation counts (matrix scans, distance updates, chain steps) are recorded
 in :class:`ClusteringStats`; the FPGA cycle model consumes these to predict
@@ -25,7 +29,7 @@ algorithm's counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -109,16 +113,61 @@ class LinkageResult:
 
 
 def _validate_square(distances: np.ndarray) -> np.ndarray:
-    distances = np.asarray(distances, dtype=np.float64)
+    """Check a square, symmetric, NaN-free, non-negative matrix; no copy."""
+    distances = np.asarray(distances)
     if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
         raise ClusteringError("distance matrix must be square")
     if distances.shape[0] < 1:
         raise ClusteringError("need at least one observation")
-    if not np.allclose(distances, distances.T, equal_nan=True):
-        raise ClusteringError("distance matrix must be symmetric")
-    if np.any(distances < 0):
+    # An exactly symmetric matrix cannot hold NaN (NaN != NaN), so only
+    # the tolerant fallback needs the NaN scan.
+    if not np.array_equal(distances, distances.T):
+        if np.isnan(distances).any():
+            raise ClusteringError("distances must not be NaN")
+        if not np.allclose(distances, distances.T):
+            raise ClusteringError("distance matrix must be symmetric")
+    if distances.dtype.kind != "u" and np.any(distances < 0):
         raise ClusteringError("distances must be non-negative")
     return distances
+
+
+def _merge(
+    linkage: str,
+    matrix: np.ndarray,
+    sizes: np.ndarray,
+    cluster_ids: np.ndarray,
+    merges: np.ndarray,
+    step: int,
+    first: int,
+    second: int,
+) -> None:
+    """Record merge ``step`` of cluster ``second`` into ``first``.
+
+    The Lance–Williams update runs over whole rows: +inf in both rows
+    keeps merged-away columns +inf.  The survivor's row and column are
+    rewritten and ``second``'s are retired to +inf.
+    """
+    height = matrix[first, second]
+    merges[step] = (
+        cluster_ids[first], cluster_ids[second], height,
+        sizes[first] + sizes[second],
+    )
+    new_row = update_distance_rows(
+        linkage,
+        matrix[first],
+        matrix[second],
+        float(height),
+        int(sizes[first]),
+        int(sizes[second]),
+        sizes,
+    )
+    new_row[first] = new_row[second] = np.inf
+    matrix[first] = new_row
+    matrix[:, first] = new_row
+    matrix[second] = np.inf
+    matrix[:, second] = np.inf
+    sizes[first] += sizes[second]
+    cluster_ids[first] = len(sizes) + step
 
 
 def nn_chain_linkage(
@@ -151,6 +200,7 @@ def nn_chain_linkage(
     np.fill_diagonal(matrix, np.inf)
     sizes = np.ones(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
+    live = n
     cluster_ids = np.arange(n, dtype=np.int64)
     chain: List[int] = []
     merge_count = 0
@@ -160,55 +210,25 @@ def nn_chain_linkage(
             chain.append(int(np.flatnonzero(active)[0]))
         while True:
             anchor = chain[-1]
+            # Inactive columns and the diagonal are already +inf.
             row = matrix[anchor]
-            # Mask inactive clusters; the diagonal is already +inf.
-            candidate_row = np.where(active, row, np.inf)
-            candidate_row[anchor] = np.inf
-            stats.distance_scans += int(active.sum()) - 1
-            nearest = int(np.argmin(candidate_row))
-            nearest_distance = candidate_row[nearest]
+            stats.distance_scans += live - 1
+            nearest = int(row.argmin())
             if len(chain) > 1:
                 predecessor = chain[-2]
                 # Prefer the predecessor on ties: guarantees termination.
-                if candidate_row[predecessor] <= nearest_distance:
-                    nearest = predecessor
-            if len(chain) > 1 and nearest == chain[-2]:
-                break  # reciprocal nearest neighbours found
+                if row[predecessor] <= row[nearest]:
+                    break  # reciprocal nearest neighbours found
             chain.append(nearest)
             stats.chain_extensions += 1
 
         second = chain.pop()
         first = chain.pop()
-        merge_height = matrix[first, second]
-        merges[merge_count, 0] = cluster_ids[first]
-        merges[merge_count, 1] = cluster_ids[second]
-        merges[merge_count, 2] = merge_height
-        merges[merge_count, 3] = sizes[first] + sizes[second]
-
-        # Lance–Williams update of the surviving row (stored at `first`).
-        others = active.copy()
-        others[first] = False
-        others[second] = False
-        other_indices = np.flatnonzero(others)
-        if other_indices.size:
-            new_row = update_distance_rows(
-                linkage,
-                matrix[first, other_indices],
-                matrix[second, other_indices],
-                float(merge_height),
-                int(sizes[first]),
-                int(sizes[second]),
-                sizes[other_indices],
-            )
-            matrix[first, other_indices] = new_row
-            matrix[other_indices, first] = new_row
-            stats.distance_updates += int(other_indices.size)
-
-        sizes[first] += sizes[second]
+        _merge(linkage, matrix, sizes, cluster_ids, merges, merge_count,
+               first, second)
+        stats.distance_updates += live - 2
         active[second] = False
-        matrix[second, :] = np.inf
-        matrix[:, second] = np.inf
-        cluster_ids[first] = n + merge_count
+        live -= 1
         merge_count += 1
         stats.merges += 1
 

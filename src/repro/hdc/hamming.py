@@ -6,14 +6,12 @@ rows, a condensed lower-triangular layout matching the on-chip distance
 memory, and 16-bit fixed-point quantization identical to the hardware's
 storage format.
 
-The pairwise kernels are one broadcast
-:func:`~repro.hdc.bitops.hamming_distance` (XOR, hardware popcount, int64
-reduction) per block of rows, with blocks sized so the XOR intermediate
-stays cache-resident.  The query-side :func:`hamming_cross` streams a
-word-major reference matrix one word at a time into a uint16 accumulator
-— the software shape of the FPGA's unrolled distance array.  Pairwise
-distances are int64; the condensed layout and the cross scan use the
-hardware's uint16.
+Every matrix kernel is :func:`hamming_cross`: it streams a word-major
+reference matrix one word at a time into a uint16 accumulator — the
+software shape of the FPGA's unrolled distance array.  The dense pairwise
+matrix is that scan per block of rows against the rows above it, mirrored;
+the condensed layout is its lower triangle.  Cross, dense and condensed
+distances are all the hardware's uint16.
 """
 
 from __future__ import annotations
@@ -30,21 +28,13 @@ DISTANCE_DTYPE = np.uint16
 #: Largest dimensionality whose raw Hamming counts fit in DISTANCE_DTYPE.
 MAX_CONDENSED_DIM = np.iinfo(DISTANCE_DTYPE).max
 
-#: Target byte footprint of one XOR block in the blocked kernels; keeps the
-#: intermediate (block_rows, n, words) tensor inside the cache working set.
-_BLOCK_BYTES = 1 << 22
+#: Rows per cross-kernel pass in :func:`pairwise_hamming_blocked`.
+_PAIRWISE_BLOCK_ROWS = 64
 
 #: Byte budget of one pass of the cross kernel's reused XOR buffer.  A
 #: word of a serving batch against a large shard exceeds it, so those
 #: scans go one word per pass; a small shard takes several words a pass.
 _CROSS_BLOCK_BYTES = 1 << 18
-
-
-def _block_rows(n: int, words: int) -> int:
-    """Rows per block so one XOR intermediate stays near ``_BLOCK_BYTES``."""
-    if n == 0 or words == 0:
-        return 1
-    return max(1, _BLOCK_BYTES // (n * words * 8))
 
 
 def _guard_uint16_dim(words: int) -> None:
@@ -55,44 +45,6 @@ def _guard_uint16_dim(words: int) -> None:
             f"distances are stored as {DISTANCE_DTYPE.__name__}; "
             f"dim {dim} (from {words} words) can exceed {MAX_CONDENSED_DIM}"
         )
-
-
-def _xor_popcount_block(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Hamming distances (int64) between every row pair of two matrices."""
-    return hamming_distance(rows[:, None, :], others[None, :, :])
-
-
-def pairwise_hamming_blocked(
-    vectors: np.ndarray, block_rows: int | None = None
-) -> np.ndarray:
-    """Dense symmetric pairwise Hamming-distance matrix (int64).
-
-    ``vectors`` is a packed matrix of shape ``(n, words)``.  Whole row
-    blocks of the lower triangle are computed per broadcast XOR + popcount
-    pass and mirrored into the upper triangle.  ``block_rows`` defaults to
-    a size that keeps each XOR intermediate cache-friendly.
-    """
-    vectors = np.asarray(vectors, dtype=np.uint64)
-    if vectors.ndim != 2:
-        raise EncodingError(
-            "pairwise_hamming_blocked expects a 2-D packed matrix"
-        )
-    n, words = vectors.shape
-    if block_rows is None:
-        block_rows = _block_rows(n, words)
-    if block_rows < 1:
-        raise EncodingError("block_rows must be >= 1")
-    distances = np.zeros((n, n), dtype=np.int64)
-    for lo in range(0, n, block_rows):
-        hi = min(lo + block_rows, n)
-        # Rows lo:hi against all columns < hi covers this block's share of
-        # the lower triangle (plus the in-block upper corner, which holds
-        # correct distances too); mirror it for the upper triangle.
-        block = _xor_popcount_block(vectors[lo:hi], vectors[:hi])
-        distances[lo:hi, :hi] = block
-        distances[:hi, lo:hi] = block.T
-    np.fill_diagonal(distances, 0)
-    return distances
 
 
 def hamming_cross(
@@ -154,6 +106,42 @@ def hamming_cross(
     return distances
 
 
+def pairwise_hamming_blocked(
+    vectors: np.ndarray, block_rows: int | None = None
+) -> np.ndarray:
+    """Dense symmetric pairwise Hamming-distance matrix (uint16).
+
+    ``vectors`` is a packed matrix of shape ``(n, words)``.  Each block of
+    rows ``lo:hi`` is one :func:`hamming_cross` scan against the word-major
+    ``vectors[:hi]`` (the transpose is built once), written into the lower
+    triangle and mirrored into the upper one.  ``block_rows`` overrides
+    the default block height.  Dimensionalities of 65,536 and up are
+    rejected, since their counts overflow uint16.
+    """
+    vectors = np.asarray(vectors, dtype=np.uint64)
+    if vectors.ndim != 2:
+        raise EncodingError(
+            "pairwise_hamming_blocked expects a 2-D packed matrix"
+        )
+    n, words = vectors.shape
+    _guard_uint16_dim(words)
+    if block_rows is None:
+        block_rows = _PAIRWISE_BLOCK_ROWS
+    if block_rows < 1:
+        raise EncodingError("block_rows must be >= 1")
+    refs_T = np.ascontiguousarray(vectors.T)
+    distances = np.zeros((n, n), dtype=DISTANCE_DTYPE)
+    for lo in range(0, n, block_rows):
+        hi = min(lo + block_rows, n)
+        # Rows lo:hi against all columns < hi covers this block's share of
+        # the lower triangle (plus the in-block upper corner, which holds
+        # correct distances too); mirror it for the upper triangle.
+        block = hamming_cross(vectors[lo:hi], refs_T[:, :hi])
+        distances[lo:hi, :hi] = block
+        distances[:hi, lo:hi] = block.T
+    return distances
+
+
 def hamming_to_query(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Hamming distance (int64) from every row of ``vectors`` to ``query``."""
     vectors = np.asarray(vectors, dtype=np.uint64)
@@ -185,31 +173,12 @@ def condensed_pairwise_hamming(
     """Condensed lower-triangular pairwise Hamming distances (uint16).
 
     Returns an array of length ``n*(n-1)/2`` in the layout of
-    :func:`condensed_index`, stored with the hardware's 16-bit width.
-    Whole row blocks of the triangle are computed per XOR + popcount pass;
-    ``block_rows`` overrides the default block height.
+    :func:`condensed_index`, stored with the hardware's 16-bit width: the
+    row-major lower triangle of :func:`pairwise_hamming_blocked`, whose
+    ``block_rows`` it passes on.
     """
-    vectors = np.asarray(vectors, dtype=np.uint64)
-    if vectors.ndim != 2:
-        raise EncodingError(
-            "condensed_pairwise_hamming expects a 2-D packed matrix"
-        )
-    n, words = vectors.shape
-    _guard_uint16_dim(words)
-    if block_rows is None:
-        block_rows = _block_rows(n, words)
-    if block_rows < 1:
-        raise EncodingError("block_rows must be >= 1")
-    out = np.zeros(n * (n - 1) // 2, dtype=DISTANCE_DTYPE)
-    for lo in range(1, n, block_rows):
-        hi = min(lo + block_rows, n)
-        # Rows lo:hi of the triangle all compare against vectors[:hi-1];
-        # one broadcast XOR covers the block, sliced to j < i below.
-        block = _xor_popcount_block(vectors[lo:hi], vectors[: hi - 1])
-        for offset, i in enumerate(range(lo, hi)):
-            start = i * (i - 1) // 2
-            out[start : start + i] = block[offset, :i].astype(DISTANCE_DTYPE)
-    return out
+    dense = pairwise_hamming_blocked(vectors, block_rows)
+    return dense[np.tril_indices(len(dense), -1)]
 
 
 def squareform(condensed: np.ndarray, n: int) -> np.ndarray:

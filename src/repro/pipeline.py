@@ -25,11 +25,11 @@ import numpy as np
 
 from .cluster import (
     ClusteringStats,
+    cluster_members,
     cut_at_height,
+    medoid_index,
     nn_chain_linkage,
     quality_report,
-    representative_indices,
-    select_medoids,
 )
 from .cluster.metrics import QualityReport
 from .errors import ConfigurationError
@@ -145,24 +145,12 @@ class SpecHDResult:
 
     def representatives(self) -> List[int]:
         """Kept-set indices of representative (medoid/singleton) spectra."""
-        representatives: List[int] = []
-        for label, medoid in self.medoids.items():
-            representatives.append(medoid)
-        clustered = set()
-        for members in _members_by_label(self.labels).values():
-            if len(members) >= 2:
-                clustered.update(members)
-        for index in range(self.labels.size):
-            if index not in clustered and index not in representatives:
-                representatives.append(index)
-        return sorted(set(representatives))
-
-
-def _members_by_label(labels: np.ndarray) -> Dict[int, List[int]]:
-    members: Dict[int, List[int]] = {}
-    for index, label in enumerate(labels):
-        members.setdefault(int(label), []).append(index)
-    return members
+        _, inverse, counts = np.unique(
+            self.labels, return_inverse=True, return_counts=True
+        )
+        keep = counts[inverse] < 2
+        keep[list(self.medoids.values())] = True
+        return np.flatnonzero(keep).tolist()
 
 
 def cluster_bucket_vectors(
@@ -172,9 +160,9 @@ def cluster_bucket_vectors(
 
     Returns ``(labels, stats, distances)``: the bucket-local labels cut at
     ``threshold_bits``, the NN-chain operation counts and the bucket's
-    float64 Hamming distance matrix.
+    uint16 Hamming distance matrix.
     """
-    distances = pairwise_hamming_blocked(vectors).astype(np.float64)
+    distances = pairwise_hamming_blocked(vectors)
     result = nn_chain_linkage(distances, linkage)
     return cut_at_height(result, threshold_bits), result.stats, distances
 
@@ -380,15 +368,10 @@ class SpecHDPipeline:
                 continue
             distances = distances_by_bucket[key]
             member_array = np.array(members)
-            local_labels = labels[member_array]
-            for label in np.unique(local_labels):
-                local_members = np.flatnonzero(local_labels == label)
-                if local_members.size < 2:
-                    continue
-                sub = distances[np.ix_(local_members, local_members)]
-                mean_distance = sub.sum(axis=1) / (local_members.size - 1)
-                winner = local_members[int(np.argmin(mean_distance))]
-                medoids[int(label)] = int(member_array[winner])
+            for label, local in cluster_members(labels[member_array]).items():
+                if local.size > 1:
+                    winner = medoid_index(distances, local)
+                    medoids[label] = int(member_array[winner])
 
         return SpecHDResult(
             labels=labels,

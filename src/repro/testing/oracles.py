@@ -6,22 +6,33 @@ encoder oracle encodes one spectrum at a time through
 :meth:`IDLevelEncoder.encode`, the unpacked majority vote.  The query
 oracles scan one query at a time, full-sort each scan and merge
 per-candidate in Python — the original serving path the batched engine
-must reproduce byte for byte.  Only the tests import this module; no
-production path does.
+must reproduce byte for byte.  The NN-chain oracle masks inactive
+clusters out of a fresh copy of every scanned row and updates only the
+active entries of a merge; the representatives oracle tests membership
+in a growing list.  Only the tests import this module; no production
+path does.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..cluster.linkage import (
+    finalize_heights,
+    prepare_distances,
+    update_distance_rows,
+    validate_linkage,
+)
+from ..cluster.nnchain import ClusteringStats, LinkageResult, _validate_square
 from ..hdc.bitops import WORD_BITS, unpack_bits
 from ..hdc.hamming import DISTANCE_DTYPE
 
 if TYPE_CHECKING:
     from ..hdc import IDLevelEncoder
+    from ..pipeline import SpecHDResult
     from ..spectrum import MassSpectrum
     from ..store import ClusterMatch, QueryService
 
@@ -141,3 +152,98 @@ def query_matches(
             )
         results.append(matches)
     return results
+
+
+def nn_chain_linkage(
+    distances: np.ndarray, linkage: str = "complete"
+) -> LinkageResult:
+    """NN-chain HAC that masks inactive clusters out of every scanned row."""
+    linkage = validate_linkage(linkage)
+    distances = _validate_square(distances)
+    n = distances.shape[0]
+    stats = ClusteringStats()
+    merges = np.zeros((max(n - 1, 0), 4), dtype=np.float64)
+    if n == 1:
+        return LinkageResult(merges=merges, n=n, linkage=linkage, stats=stats)
+
+    matrix = prepare_distances(linkage, distances)
+    np.fill_diagonal(matrix, np.inf)
+    sizes = np.ones(n, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
+    cluster_ids = np.arange(n, dtype=np.int64)
+    chain: List[int] = []
+    merge_count = 0
+
+    while merge_count < n - 1:
+        if not chain:
+            chain.append(int(np.flatnonzero(active)[0]))
+        while True:
+            anchor = chain[-1]
+            row = matrix[anchor]
+            # Mask inactive clusters; the diagonal is already +inf.
+            candidate_row = np.where(active, row, np.inf)
+            candidate_row[anchor] = np.inf
+            stats.distance_scans += int(active.sum()) - 1
+            nearest = int(np.argmin(candidate_row))
+            nearest_distance = candidate_row[nearest]
+            if len(chain) > 1:
+                predecessor = chain[-2]
+                # Prefer the predecessor on ties: guarantees termination.
+                if candidate_row[predecessor] <= nearest_distance:
+                    nearest = predecessor
+            if len(chain) > 1 and nearest == chain[-2]:
+                break  # reciprocal nearest neighbours found
+            chain.append(nearest)
+            stats.chain_extensions += 1
+
+        second = chain.pop()
+        first = chain.pop()
+        merge_height = matrix[first, second]
+        merges[merge_count, 0] = cluster_ids[first]
+        merges[merge_count, 1] = cluster_ids[second]
+        merges[merge_count, 2] = merge_height
+        merges[merge_count, 3] = sizes[first] + sizes[second]
+
+        # Lance–Williams update of the surviving row (stored at `first`).
+        others = active.copy()
+        others[first] = False
+        others[second] = False
+        other_indices = np.flatnonzero(others)
+        if other_indices.size:
+            new_row = update_distance_rows(
+                linkage,
+                matrix[first, other_indices],
+                matrix[second, other_indices],
+                float(merge_height),
+                int(sizes[first]),
+                int(sizes[second]),
+                sizes[other_indices],
+            )
+            matrix[first, other_indices] = new_row
+            matrix[other_indices, first] = new_row
+            stats.distance_updates += int(other_indices.size)
+
+        sizes[first] += sizes[second]
+        active[second] = False
+        matrix[second, :] = np.inf
+        matrix[:, second] = np.inf
+        cluster_ids[first] = n + merge_count
+        merge_count += 1
+        stats.merges += 1
+
+    merges[:, 2] = finalize_heights(linkage, merges[:, 2])
+    return LinkageResult(merges=merges, n=n, linkage=linkage, stats=stats)
+
+
+def representatives(result: "SpecHDResult") -> List[int]:
+    """``result.representatives()`` by list membership, one index at a time."""
+    representatives: List[int] = list(result.medoids.values())
+    members: Dict[int, List[int]] = {}
+    for index, label in enumerate(result.labels):
+        members.setdefault(int(label), []).append(index)
+    clustered = {i for group in members.values() if len(group) > 1
+                 for i in group}
+    for index in range(result.labels.size):
+        if index not in clustered and index not in representatives:
+            representatives.append(index)
+    return sorted(set(representatives))

@@ -40,10 +40,30 @@ class TestInputValidation:
         with pytest.raises(ClusteringError, match="symmetric"):
             nn_chain_linkage(matrix)
 
+    def test_near_symmetric_accepted(self):
+        # Round-off asymmetry passes the tolerant allclose fallback.
+        matrix = np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]])
+        assert nn_chain_linkage(matrix).merges[0, 3] == 2
+
+    def test_uint16_input_is_left_unchanged(self):
+        matrix = np.array([[0, 3], [3, 0]], dtype=np.uint16)
+        result = nn_chain_linkage(matrix, "ward")
+        assert result.merges[0, 2] == pytest.approx(3.0)
+        assert matrix.tolist() == [[0, 3], [3, 0]]
+
     def test_negative_rejected(self):
         matrix = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(ClusteringError, match="non-negative"):
             nn_chain_linkage(matrix)
+
+    def test_nan_rejected(self):
+        # argmin would pick the NaN: (0, 2) merged at NaN ahead of (0, 1).
+        matrix = np.array(
+            [[0.0, 1.0, np.nan], [1.0, 0.0, 5.0], [np.nan, 5.0, 0.0]]
+        )
+        for run in (nn_chain_linkage, naive_linkage):
+            with pytest.raises(ClusteringError, match="NaN"):
+                run(matrix)
 
     def test_unknown_linkage_rejected(self, random_distance_matrix):
         with pytest.raises(ClusteringError, match="unknown linkage"):

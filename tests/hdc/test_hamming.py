@@ -184,6 +184,21 @@ class TestDistanceDtypeOverflowGuard:
         condensed = condensed_pairwise_hamming(vectors)
         assert condensed.tolist() == [1023 * 64]
 
+    def test_pairwise_rejects_oversized_dim(self):
+        # The dense matrix is uint16 too: refused even with no rows.
+        vectors = np.zeros((2, 1024), dtype=np.uint64)
+        for rows in (vectors, vectors[:0]):
+            with pytest.raises(EncodingError, match="65535"):
+                pairwise_hamming_blocked(rows)
+
+    def test_pairwise_accepts_boundary_dim(self):
+        vectors = np.zeros((2, 1023), dtype=np.uint64)
+        vectors[0, :] = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+        assert pairwise_hamming_blocked(vectors).tolist() == [
+            [0, 1023 * 64],
+            [1023 * 64, 0],
+        ]
+
     def test_cross_rejects_oversized_dim(self):
         # The cross scan accumulates in uint16 too: dim >= 65536 refused,
         # even when one side is empty.
@@ -218,13 +233,11 @@ class TestWidthMismatch:
 
 
 class TestResultDtypes:
-    def test_distances_are_int64_condensed_and_cross_are_uint16(
-        self, vectors
-    ):
+    def test_row_distances_are_int64_matrices_are_uint16(self, vectors):
         # uint64 distances would promote to float64 against int64 ones.
         assert hamming_distance(vectors, vectors[:1]).dtype == np.int64
         assert hamming_distance(vectors[0], vectors[1]).dtype == np.int64
         assert hamming_to_query(vectors, vectors[0]).dtype == np.int64
         assert hamming_cross(vectors, vectors.T).dtype == np.uint16
-        assert pairwise_hamming_blocked(vectors).dtype == np.int64
+        assert pairwise_hamming_blocked(vectors).dtype == np.uint16
         assert condensed_pairwise_hamming(vectors).dtype == np.uint16

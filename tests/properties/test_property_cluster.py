@@ -11,6 +11,7 @@ from repro.cluster import (
     naive_linkage,
     nn_chain_linkage,
 )
+from repro.testing import oracles
 
 
 @st.composite
@@ -27,6 +28,22 @@ def distance_matrices(draw, max_n=12):
 LINKAGES = st.sampled_from(["single", "complete", "average", "ward"])
 
 
+@st.composite
+def tie_heavy_matrices(draw, max_n=14):
+    """Symmetric zero-diagonal matrices of small integers (0-4): many ties."""
+    n = draw(st.integers(1, max_n))
+    upper = draw(
+        st.lists(
+            st.integers(0, 4),
+            min_size=n * (n - 1) // 2,
+            max_size=n * (n - 1) // 2,
+        )
+    )
+    matrix = np.zeros((n, n), dtype=np.int64)
+    matrix[np.triu_indices(n, 1)] = upper
+    return matrix + matrix.T
+
+
 class TestHACInvariants:
     @given(matrix=distance_matrices(), linkage=LINKAGES)
     @settings(max_examples=40, deadline=None)
@@ -37,6 +54,21 @@ class TestHACInvariants:
         np.testing.assert_allclose(
             np.sort(chain.heights()), np.sort(naive.heights()), rtol=1e-9
         )
+
+    @given(
+        matrix=tie_heavy_matrices(),
+        linkage=LINKAGES,
+        dtype=st.sampled_from([np.float64, np.uint16]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_nnchain_matches_masking_oracle(self, matrix, linkage, dtype):
+        """Scanning rows in place gives the masking loop's exact output."""
+        mine = nn_chain_linkage(matrix.astype(dtype), linkage)
+        reference = oracles.nn_chain_linkage(
+            matrix.astype(np.float64), linkage
+        )
+        assert np.array_equal(mine.merges, reference.merges)
+        assert mine.stats == reference.stats
 
     @given(matrix=distance_matrices(), linkage=LINKAGES)
     @settings(max_examples=30, deadline=None)

@@ -7,6 +7,7 @@ from repro import SpecHDConfig, SpecHDPipeline
 from repro.errors import ConfigurationError
 from repro.hdc import EncoderConfig
 from repro.spectrum import MassSpectrum
+from repro.testing import oracles
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +88,17 @@ class TestRun:
         rep_labels = {int(result.labels[r]) for r in reps}
         all_labels = set(int(l) for l in result.labels)
         assert rep_labels == all_labels
+
+    def test_representatives_match_oracle(self, result):
+        sizes = np.bincount(result.labels)
+        assert len(result.bucket_keys) > 1
+        assert result.medoids and (sizes == 1).any()
+        assert result.representatives() == oracles.representatives(result)
+
+    def test_bucket_distances_are_uint16(self, result):
+        assert result.distances_by_bucket
+        for matrix in result.distances_by_bucket.values():
+            assert matrix.dtype == np.uint16
 
     def test_empty_input(self, pipeline):
         empty = pipeline.run([])
