@@ -24,7 +24,7 @@ paper's compression argument made literal.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -43,9 +43,10 @@ from .spectrum import (
     BucketingConfig,
     MassSpectrum,
     PreprocessingConfig,
-    bucket_key,
-    preprocess_spectrum,
+    check_precursor_columns,
+    precursor_bucket_key,
 )
+from .streaming import encode_spectra
 
 #: Format version of the ``state.json`` snapshot companion file.
 STATE_FORMAT_VERSION = 1
@@ -84,24 +85,6 @@ class UpdateReport:
         if self.num_added == 0:
             return 0.0
         return self.num_absorbed / self.num_added
-
-
-def _placeholder_spectrum(
-    identifier: str, precursor_mz: float, charge: int
-) -> MassSpectrum:
-    """A peak-less spectrum carrying only the precursor metadata.
-
-    Used when restoring from a snapshot or ingesting pre-encoded vectors:
-    the store only ever needs a row's hypervector and precursor fields
-    after ingestion, so raw peaks are not kept.
-    """
-    return MassSpectrum(
-        identifier=identifier,
-        precursor_mz=float(precursor_mz),
-        precursor_charge=int(charge),
-        mz=np.zeros(0, dtype=np.float64),
-        intensity=np.zeros(0, dtype=np.float64),
-    )
 
 
 class IncrementalClusterStore:
@@ -147,10 +130,15 @@ class IncrementalClusterStore:
         self.cluster_threshold = cluster_threshold
         self.linkage = linkage
 
+        # One row per stored spectrum: its packed hypervector plus the
+        # three precursor columns the hypervector store persists.  Peaks
+        # are never kept once a row is encoded.
         self._vectors = np.zeros(
             (0, encoder_config.dim // 64), dtype=np.uint64
         )
-        self._spectra: List[MassSpectrum] = []
+        self._identifiers: List[str] = []
+        self._precursor_mz = np.zeros(0, dtype=np.float64)
+        self._charge = np.zeros(0, dtype=np.int16)
         self._row_labels: List[int] = []
         self._clusters: Dict[int, _Cluster] = {}
         self._clusters_by_bucket: Dict[Tuple[int, int], List[int]] = {}
@@ -161,7 +149,7 @@ class IncrementalClusterStore:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._spectra)
+        return len(self._identifiers)
 
     @property
     def num_clusters(self) -> int:
@@ -194,53 +182,39 @@ class IncrementalClusterStore:
         """Cluster label of one stored row."""
         return self._row_labels[row]
 
-    def spectrum_at(self, row: int) -> MassSpectrum:
-        """The stored spectrum record for one row.
-
-        After a snapshot round-trip only the identifier and precursor
-        metadata survive (peak arrays come back empty).
-        """
-        return self._spectra[row]
-
     def vectors_at(self, rows: Sequence[int]) -> np.ndarray:
         """Packed hypervectors for the given rows (one matrix)."""
         return self._vectors[np.asarray(rows, dtype=np.int64)]
+
+    def metadata_at(
+        self, rows: Sequence[int]
+    ) -> Tuple[List[str], np.ndarray, np.ndarray]:
+        """``(identifiers, precursor m/z, charge)`` of the given rows."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return (
+            [self._identifiers[row] for row in rows.tolist()],
+            self._precursor_mz[rows],
+            self._charge[rows],
+        )
 
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
 
-    def add_batch(
-        self,
-        spectra: Sequence[MassSpectrum],
-        preprocessed: bool = False,
-    ) -> UpdateReport:
-        """Add a batch: absorb near-medoid spectra, NN-chain the rest.
+    def add_batch(self, spectra: Sequence[MassSpectrum]) -> UpdateReport:
+        """Add raw spectra: absorb near-medoid spectra, NN-chain the rest.
 
-        With ``preprocessed=True`` the spectra are taken as-is (no QC, no
-        peak filtering) — used by callers that run the preprocessing stage
-        themselves, e.g. the sharded repository, which must route spectra
-        to shards *after* QC so that every routed spectrum lands a row.
+        The batch is preprocessed and encoded
+        (:func:`repro.streaming.encode_spectra`) and its QC survivors go
+        through :meth:`add_encoded`; only their hypervectors and
+        precursor fields are stored.  ``num_dropped`` counts the spectra
+        QC rejected.
         """
-        if preprocessed:
-            accepted = list(spectra)
-        else:
-            accepted = []
-            for spectrum in spectra:
-                processed = preprocess_spectrum(spectrum, self.preprocessing)
-                if processed is not None:
-                    accepted.append(processed)
-        dropped = len(spectra) - len(accepted)
-        if not accepted:
-            return UpdateReport(0, 0, 0, dropped)
-        vectors = self.encoder.encode_batch(accepted)
-        absorbed, new_clusters = self._ingest(accepted, vectors)
-        return UpdateReport(
-            num_added=len(accepted),
-            num_absorbed=absorbed,
-            num_new_clusters=new_clusters,
-            num_dropped=dropped,
+        batch = encode_spectra(spectra, self.preprocessing, self.encoder)
+        report = self.add_encoded(
+            batch.vectors, batch.precursor_mz, batch.charge, batch.identifiers
         )
+        return replace(report, num_dropped=batch.num_dropped)
 
     def add_encoded(
         self,
@@ -270,39 +244,49 @@ class IncrementalClusterStore:
             raise ConfigurationError(
                 "encoded batch arrays have unequal lengths"
             )
-        spectra = [
-            _placeholder_spectrum(ident, mz, ch)
-            for ident, mz, ch in zip(identifiers, precursor_mz, charge)
-        ]
-        if not spectra:
+        precursor_mz, charge = check_precursor_columns(
+            precursor_mz, charge, self.bucketing
+        )
+        count = vectors.shape[0]
+        if count == 0:
             return UpdateReport(0, 0, 0, 0)
-        absorbed, new_clusters = self._ingest(spectra, vectors)
+        absorbed, new_clusters = self._ingest(
+            vectors, precursor_mz, charge, [str(i) for i in identifiers]
+        )
         return UpdateReport(
-            num_added=len(spectra),
+            num_added=count,
             num_absorbed=absorbed,
             num_new_clusters=new_clusters,
             num_dropped=0,
         )
 
     def _ingest(
-        self, accepted: List[MassSpectrum], new_vectors: np.ndarray
+        self,
+        new_vectors: np.ndarray,
+        precursor_mz: np.ndarray,
+        charge: np.ndarray,
+        identifiers: List[str],
     ) -> Tuple[int, int]:
         """Shared core: append rows, absorb, NN-chain the leftovers."""
         threshold_bits = self.cluster_threshold * self.encoder.dim
-        base_row = len(self._spectra)
+        base_row = len(self)
         self._vectors = (
             new_vectors
             if self._vectors.size == 0
             else np.vstack([self._vectors, new_vectors])
         )
-        self._spectra.extend(accepted)
-        self._row_labels.extend([-1] * len(accepted))
+        self._identifiers.extend(identifiers)
+        self._precursor_mz = np.concatenate([self._precursor_mz, precursor_mz])
+        self._charge = np.concatenate([self._charge, charge])
+        self._row_labels.extend([-1] * len(identifiers))
 
         absorbed = 0
         leftovers_by_bucket: Dict[Tuple[int, int], List[int]] = {}
-        for offset, spectrum in enumerate(accepted):
+        for offset, (mz, ch) in enumerate(
+            zip(precursor_mz.tolist(), charge.tolist())
+        ):
             row = base_row + offset
-            bucket = bucket_key(spectrum, self.bucketing)
+            bucket = precursor_bucket_key(mz, ch, self.bucketing)
             label = self._try_absorb(row, bucket, threshold_bits)
             if label is not None:
                 self._row_labels[row] = label
@@ -436,10 +420,12 @@ class IncrementalClusterStore:
 
     def snapshot_store(self) -> HypervectorStore:
         """The persisted artefact: packed vectors + precursor metadata."""
-        return HypervectorStore.from_encoding(
-            self._spectra,
-            self._vectors,
+        return HypervectorStore(
+            vectors=self._vectors,
+            precursor_mz=self._precursor_mz,
+            charge=self._charge,
             labels=self.labels(),
+            identifiers=list(self._identifiers),
             dim=self.encoder.dim,
             encoder_seed=self.encoder.config.seed,
         )
@@ -521,12 +507,11 @@ class IncrementalClusterStore:
         if not isinstance(vectors, np.ndarray) or vectors.dtype != np.uint64:
             vectors = np.asarray(vectors, dtype=np.uint64)
         instance._vectors = vectors
-        instance._spectra = [
-            _placeholder_spectrum(ident, mz, ch)
-            for ident, mz, ch in zip(
-                store.identifiers, store.precursor_mz, store.charge
-            )
-        ]
+        instance._identifiers = list(store.identifiers)
+        instance._precursor_mz = np.asarray(
+            store.precursor_mz, dtype=np.float64
+        )
+        instance._charge = np.asarray(store.charge, dtype=np.int16)
         instance._row_labels = [int(label) for label in store.labels]
         instance._next_label = int(state["next_label"])
         for record in state["clusters"]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError, ParseError
 from ..spectrum import MassSpectrum
@@ -83,31 +83,10 @@ class SpectrumSource:
             for path in paths
         ]
 
-    @property
-    def num_files(self) -> int:
-        """Number of input files in the plan."""
-        return len(self.files)
-
-    @property
-    def paths(self) -> List[Path]:
-        """Input paths in ingest order."""
-        return [entry.path for entry in self.files]
-
-    def __len__(self) -> int:
-        return len(self.files)
-
     def __iter__(self) -> Iterator[MassSpectrum]:
         """All spectra of all files, in plan order."""
         for entry in self.files:
             yield from entry.read()
-
-    def iter_with_index(self) -> Iterator[Tuple[int, MassSpectrum]]:
-        """``(global_ordinal, spectrum)`` pairs across the whole plan."""
-        ordinal = 0
-        for entry in self.files:
-            for spectrum in entry.read():
-                yield ordinal, spectrum
-                ordinal += 1
 
     def iter_batches(
         self, batch_size: int

@@ -21,6 +21,8 @@ from .bucketing import (
     BucketingConfig,
     bucket_index,
     bucket_key,
+    check_precursor_columns,
+    precursor_bucket_key,
     partition_spectra,
     bucket_size_histogram,
     bucket_statistics,
@@ -58,6 +60,8 @@ __all__ = [
     "BucketingConfig",
     "bucket_index",
     "bucket_key",
+    "check_precursor_columns",
+    "precursor_bucket_key",
     "partition_spectra",
     "bucket_size_histogram",
     "bucket_statistics",

@@ -68,17 +68,55 @@ def bucket_index(
     return int(np.floor(neutral / config.resolution))
 
 
+def precursor_bucket_key(
+    precursor_mz: float,
+    charge: int,
+    config: BucketingConfig = BucketingConfig(),
+) -> Tuple[int, int]:
+    """Bucket key from precursor fields: ``(charge, index)`` or ``(0, index)``.
+
+    The first element is the precursor charge when ``split_by_charge`` is
+    set, else 0, so keys remain comparable across configurations.  Pass
+    Python numbers (a column's ``.tolist()``), so keys serialise to JSON.
+    """
+    index = bucket_index(precursor_mz, charge, config)
+    return (charge if config.split_by_charge else 0, index)
+
+
 def bucket_key(
     spectrum: MassSpectrum, config: BucketingConfig = BucketingConfig()
 ) -> Tuple[int, int]:
-    """Bucket key for a spectrum: ``(charge, index)`` or ``(0, index)``.
+    """Bucket key for a spectrum (see :func:`precursor_bucket_key`)."""
+    return precursor_bucket_key(
+        spectrum.precursor_mz, spectrum.precursor_charge, config
+    )
 
-    The first element is the precursor charge when ``split_by_charge`` is
-    set, else 0, so keys remain comparable across configurations.
+
+def check_precursor_columns(
+    precursor_mz: Sequence[float],
+    charge: Sequence[int],
+    config: BucketingConfig = BucketingConfig(),
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Precursor columns as float64 m/z and int16 charge, every row bucketable.
+
+    Raises :class:`ConfigurationError` naming the first row whose m/z is
+    not positive and finite, whose charge is outside ``[1, 32767]`` (the
+    int16 the hypervector store persists) or whose Eq. 1 quotient
+    overflows.
     """
-    index = bucket_index(spectrum.precursor_mz, spectrum.precursor_charge, config)
-    charge_part = spectrum.precursor_charge if config.split_by_charge else 0
-    return (charge_part, index)
+    mz = np.asarray(precursor_mz, dtype=np.float64).reshape(-1)
+    wide = np.asarray(charge, dtype=np.int64).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        quotient = (mz - PAPER_CHARGE_MASS) * wide / config.resolution
+    bad = ~(mz > 0) | ~np.isfinite(quotient) | (wide < 1)
+    bad |= wide > np.iinfo(np.int16).max
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ConfigurationError(
+            f"row {row}: precursor m/z {float(mz[row])} with charge "
+            f"{int(wide[row])} cannot be bucketed"
+        )
+    return mz, wide.astype(np.int16)
 
 
 def partition_spectra(

@@ -23,7 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..hdc import hamming_cross
-from ..spectrum import MassSpectrum, preprocess_spectrum
+from ..spectrum import MassSpectrum
+from ..streaming import encode_spectra
 from .index import batched_topk
 from .matches import MatchTable, merge_topk
 from .repository import ClusterRepository
@@ -98,7 +99,9 @@ class QueryService:
                 vectors = np.zeros(
                     (0, self.repository.encoder.words), dtype=np.uint64
                 )
-            medoids = [shard.spectrum_at(row) for row in medoid_rows]
+            identifiers, medoid_mz, medoid_charge = shard.metadata_at(
+                medoid_rows
+            )
             indexes.append(
                 _ShardIndex(
                     shard_id=shard_id,
@@ -106,7 +109,7 @@ class QueryService:
                     medoids_T=np.ascontiguousarray(vectors.T),
                     medoids=MatchTable.from_fields(
                         [len(labels)],
-                        [s.identifier for s in medoids],
+                        identifiers,
                         global_label=[
                             self.repository.global_label(shard_id, label)
                             for label in labels
@@ -116,8 +119,8 @@ class QueryService:
                         distance=0,
                         normalized_distance=0.0,
                         cluster_size=[sizes[label] for label in labels],
-                        medoid_precursor_mz=[s.precursor_mz for s in medoids],
-                        medoid_charge=[s.precursor_charge for s in medoids],
+                        medoid_precursor_mz=medoid_mz,
+                        medoid_charge=medoid_charge,
                     ),
                 )
             )
@@ -137,21 +140,14 @@ class QueryService:
         encoded with its encoder; a spectrum that fails QC gets an empty
         result row (positions stay aligned with the input).
         """
-        kept: List[MassSpectrum] = []
-        kept_positions: List[int] = []
-        for position, spectrum in enumerate(spectra):
-            processed = preprocess_spectrum(
-                spectrum, self.repository.manifest.preprocessing
-            )
-            if processed is not None:
-                kept.append(processed)
-                kept_positions.append(position)
-        table = (
-            self.query_vectors(self.repository.encoder.encode_batch(kept), k)
-            if kept
-            else MatchTable.empty(0)
+        batch = encode_spectra(
+            spectra,
+            self.repository.manifest.preprocessing,
+            self.repository.encoder,
         )
-        return table.scattered(kept_positions, len(spectra))
+        return self.query_vectors(batch.vectors, k).scattered(
+            batch.kept_offsets, batch.raw_count
+        )
 
     def query_vectors(
         self,

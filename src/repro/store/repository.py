@@ -19,8 +19,13 @@ decision — the same independence argument that lets SpecHD replicate its
 clustering kernels (§III-C) and that falcon exploits by partitioning work
 per precursor charge.
 
-Durability contract: ``add_batch``/``add_store`` append the batch to the
-WAL (flushed + fsynced) *before* touching any cluster state, and
+Every write journals encoded rows only: ``add_batch`` preprocesses and
+encodes its spectra first, and it, ``add_store`` and the daemon all go
+through ``add_encoded_batch``.  A stored row is its packed hypervector
+plus identifier, precursor m/z and charge; peaks are never kept.
+
+Durability contract: every ingest appends the batch to the WAL (flushed
++ fsynced) *before* touching any cluster state, and
 ``checkpoint`` writes a complete new segment generation before atomically
 swapping the manifest and truncating the WAL.  Reopening after a crash
 therefore replays exactly the acknowledged batches on top of the last
@@ -31,7 +36,7 @@ identical to an uninterrupted run.
 from __future__ import annotations
 
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -45,9 +50,10 @@ from ..spectrum import (
     BucketingConfig,
     MassSpectrum,
     PreprocessingConfig,
-    bucket_key,
-    preprocess_spectrum,
+    check_precursor_columns,
+    precursor_bucket_key,
 )
+from ..streaming import encode_spectra
 from . import fsio
 from .integrity import (
     check_verify_policy,
@@ -312,12 +318,20 @@ class ClusterRepository:
             self._wal.recover()
         for record in self._wal.replay(after_seq=self._applied_seq):
             if record.kind == "spectra":
-                self._apply_spectra(record.seq, record.spectra())
-            else:
-                vectors, mz, charge, identifiers = record.encoded()
-                self._apply_encoded(
-                    record.seq, vectors, mz, charge, identifiers
+                # Journals written before every write was encoded first:
+                # encode on replay, then apply like any encoded record.
+                batch = encode_spectra(
+                    record.spectra(), self.manifest.preprocessing, self.encoder
                 )
+                columns = (
+                    batch.vectors,
+                    batch.precursor_mz,
+                    batch.charge,
+                    batch.identifiers,
+                )
+            else:
+                columns = record.encoded()
+            self._apply_encoded(record.seq, *columns)
             self._next_seq = record.seq + 1
             self._wal_pending += 1
 
@@ -457,17 +471,24 @@ class ClusterRepository:
     def add_batch(
         self, spectra: Sequence[MassSpectrum]
     ) -> RepositoryUpdateReport:
-        """Durably ingest raw spectra: journal first, then apply."""
-        self._guard_consistent()
-        spectra = list(spectra)
-        seq = self._next_seq
-        self._wal.append_spectra(seq, spectra)
-        # The sequence number is consumed the moment the record is
-        # durable: even if the apply below raises, a retry gets a fresh
-        # seq and replay stays free of duplicates.
-        self._next_seq = seq + 1
-        self._wal_pending += 1
-        return self._apply_guarded(self._apply_spectra, seq, spectra)
+        """Durably ingest raw spectra: encode, then :meth:`add_encoded_batch`.
+
+        The batch is preprocessed and encoded with the repository's own
+        configuration and encoder (:func:`repro.streaming.encode_spectra`);
+        only the QC survivors' encoded rows are journaled and stored.  A
+        batch whose every spectrum fails QC still consumes a sequence
+        number, and ``num_dropped`` reports the QC drops.
+        """
+        batch = encode_spectra(
+            spectra, self.manifest.preprocessing, self.encoder
+        )
+        return self.add_encoded_batch(
+            batch.vectors,
+            batch.precursor_mz,
+            batch.charge,
+            batch.identifiers,
+            num_dropped=batch.num_dropped,
+        )
 
     def add_encoded_batch(
         self,
@@ -479,19 +500,24 @@ class ClusterRepository:
     ) -> RepositoryUpdateReport:
         """Durably ingest one pre-encoded batch: journal, then apply.
 
-        This is the streaming-ingest apply stage: preprocessing and
-        encoding already happened upstream (:mod:`repro.streaming`, or a
-        daemon connection thread), so only the compact encoded rows
+        Every write ends here: :meth:`add_batch`, :meth:`add_store`, the
+        streaming ingestor and the daemon.  Preprocessing and encoding
+        already happened upstream, so only the compact encoded rows
         enter the repository's critical section.  The batch must have
         been encoded with this repository's exact encoder configuration
-        — the stream guarantees that by encoding with the repository's
-        own encoder.
+        — every in-tree caller encodes with the repository's own encoder.
+
+        The precursor columns are checked before anything is journaled:
+        a row with a charge below 1 or an m/z that is not positive and
+        finite raises :class:`~repro.errors.ConfigurationError`, consumes
+        no sequence number and leaves the journal untouched (journaled,
+        it would fail again on every replay).
 
         An *empty* batch (every spectrum failed QC) is journaled anyway:
         it still consumes a sequence number, keeping the WAL history —
         and therefore ``applied_seq`` and the checkpoint manifest —
-        aligned one-to-one with the raw-spectra batches the sequential
-        :meth:`add_batch` path would have written.
+        aligned one-to-one with the input batches, however many rows
+        each kept.
 
         ``num_dropped`` is the preprocess stage's QC-drop count for this
         batch, passed through to the report (it is not journaled; replay
@@ -516,24 +542,21 @@ class ClusterRepository:
             )
         if num_dropped < 0:
             raise ConfigurationError("num_dropped must be >= 0")
+        precursor_mz, charge = check_precursor_columns(
+            precursor_mz, charge, self.manifest.bucketing
+        )
         self._guard_consistent()
         seq = self._next_seq
         self._wal.append_encoded(seq, vectors, precursor_mz, charge, identifiers)
+        # The sequence number is consumed the moment the record is
+        # durable: even if the apply below raises, a retry gets a fresh
+        # seq and replay stays free of duplicates.
         self._next_seq = seq + 1
         self._wal_pending += 1
         report = self._apply_guarded(
             self._apply_encoded, seq, vectors, precursor_mz, charge, identifiers
         )
-        if num_dropped == 0:
-            return report
-        return RepositoryUpdateReport(
-            seq=report.seq,
-            num_added=report.num_added,
-            num_absorbed=report.num_absorbed,
-            num_new_clusters=report.num_new_clusters,
-            num_dropped=num_dropped,
-            shards_touched=report.shards_touched,
-        )
+        return replace(report, num_dropped=num_dropped)
 
     def add_store(
         self,
@@ -547,7 +570,9 @@ class ClusterRepository:
         ``batch_rows`` journals the store as a series of bounded WAL
         records instead of one monolithic record — use it for large
         stores so neither the journal line nor replay has to hold the
-        whole matrix at once.
+        whole matrix at once.  Every slice goes through
+        :meth:`add_encoded_batch`; the whole store's precursor columns
+        are checked before the first slice is journaled.
         """
         if store.dim != self.manifest.encoder.dim:
             raise ConfigurationError(
@@ -561,6 +586,9 @@ class ClusterRepository:
             )
         if batch_rows is not None and batch_rows < 1:
             raise ConfigurationError("batch_rows must be >= 1")
+        precursor_mz, charge = check_precursor_columns(
+            store.precursor_mz, store.charge, self.manifest.bucketing
+        )
         self._guard_consistent()
         count = len(store)
         if count == 0:
@@ -578,22 +606,10 @@ class ClusterRepository:
         last_seq = self._applied_seq
         for start in range(0, count, step):
             stop = min(start + step, count)
-            seq = self._next_seq
-            self._wal.append_encoded(
-                seq,
+            report = self.add_encoded_batch(
                 store.vectors[start:stop],
-                store.precursor_mz[start:stop],
-                store.charge[start:stop],
-                store.identifiers[start:stop],
-            )
-            self._next_seq = seq + 1
-            self._wal_pending += 1
-            report = self._apply_guarded(
-                self._apply_encoded,
-                seq,
-                store.vectors[start:stop],
-                store.precursor_mz[start:stop],
-                store.charge[start:stop],
+                precursor_mz[start:stop],
+                charge[start:stop],
                 store.identifiers[start:stop],
             )
             added += report.num_added
@@ -610,57 +626,27 @@ class ClusterRepository:
             shards_touched=len(touched),
         )
 
-    def _apply_spectra(
-        self, seq: int, spectra: Sequence[MassSpectrum]
-    ) -> RepositoryUpdateReport:
-        """Preprocess, route by bucket and apply one raw batch."""
-        processed: List[MassSpectrum] = []
-        for spectrum in spectra:
-            kept = preprocess_spectrum(spectrum, self.manifest.preprocessing)
-            if kept is not None:
-                processed.append(kept)
-        dropped = len(spectra) - len(processed)
-        return self._route_and_apply(
-            seq, processed, vectors=None, dropped=dropped
-        )
-
     def _apply_encoded(
         self,
         seq: int,
         vectors: np.ndarray,
-        precursor_mz: Sequence[float],
-        charge: Sequence[int],
+        precursor_mz: np.ndarray,
+        charge: np.ndarray,
         identifiers: Sequence[str],
     ) -> RepositoryUpdateReport:
-        """Route pre-encoded rows by bucket and apply them."""
-        from ..incremental import _placeholder_spectrum
+        """Route encoded rows by bucket and apply them to their shards.
 
-        records = [
-            _placeholder_spectrum(ident, mz, ch)
-            for ident, mz, ch in zip(identifiers, precursor_mz, charge)
-        ]
-        return self._route_and_apply(
-            seq, records, vectors=np.asarray(vectors, dtype=np.uint64),
-            dropped=0,
-        )
-
-    def _route_and_apply(
-        self,
-        seq: int,
-        records: List[MassSpectrum],
-        vectors: Optional[np.ndarray],
-        dropped: int,
-    ) -> RepositoryUpdateReport:
-        """Shared ingest core, identical for live calls and WAL replay.
-
-        ``records`` are already QC'd, so every one of them lands a row in
-        its shard; that invariant is what makes the global row registry a
-        pure function of the routing.
+        The one apply, identical for live calls and WAL replay.  Rows
+        are already QC'd, so every one of them lands a row in its shard;
+        that invariant is what makes the global row registry a pure
+        function of the routing.
         """
         manifest = self.manifest
         by_shard: Dict[int, List[int]] = {}
-        for position, record in enumerate(records):
-            bucket = bucket_key(record, manifest.bucketing)
+        for position, (mz, ch) in enumerate(
+            zip(precursor_mz.tolist(), charge.tolist())
+        ):
+            bucket = precursor_bucket_key(mz, ch, manifest.bucketing)
             shard_id = shard_for_bucket(
                 bucket, manifest.num_shards, manifest.shard_width
             )
@@ -668,35 +654,26 @@ class ClusterRepository:
 
         absorbed = 0
         new_clusters = 0
-        base_rows: Dict[int, int] = {}
         row_of_position: Dict[int, Tuple[int, int]] = {}
         for shard_id in sorted(by_shard):
             shard = self._shards[shard_id]
             positions = by_shard[shard_id]
-            base_rows[shard_id] = len(shard)
-            if vectors is None:
-                report = shard.add_batch(
-                    [records[p] for p in positions], preprocessed=True
-                )
-            else:
-                subset = [records[p] for p in positions]
-                report = shard.add_encoded(
-                    vectors[np.array(positions)],
-                    [s.precursor_mz for s in subset],
-                    [s.precursor_charge for s in subset],
-                    [s.identifier for s in subset],
-                )
+            base_row = len(shard)
+            subset = np.array(positions)
+            report = shard.add_encoded(
+                vectors[subset],
+                precursor_mz[subset],
+                charge[subset],
+                [identifiers[p] for p in positions],
+            )
             absorbed += report.num_absorbed
             new_clusters += report.num_new_clusters
             for offset, position in enumerate(positions):
-                row_of_position[position] = (
-                    shard_id,
-                    base_rows[shard_id] + offset,
-                )
+                row_of_position[position] = (shard_id, base_row + offset)
 
         # Global rows and labels are assigned in the batch's own order, so
         # the registry is deterministic regardless of shard layout.
-        for position in range(len(records)):
+        for position in range(len(identifiers)):
             shard_id, local_row = row_of_position[position]
             self._row_shard.append(shard_id)
             self._row_local.append(local_row)
@@ -711,10 +688,10 @@ class ClusterRepository:
         self.version += 1
         return RepositoryUpdateReport(
             seq=seq,
-            num_added=len(records),
+            num_added=len(identifiers),
             num_absorbed=absorbed,
             num_new_clusters=new_clusters,
-            num_dropped=dropped,
+            num_dropped=0,
             shards_touched=len(by_shard),
         )
 

@@ -12,15 +12,20 @@ fsynced before the ingest is acknowledged.  Recovery semantics:
   (not a crash) and raises :class:`~repro.errors.ParseError` rather than
   silently replaying a hole.
 
-Two record kinds exist, mirroring the two ingest paths:
+Every write journals one record kind:
 
-``spectra``
-    Raw spectra as given to ``add_batch``; peak arrays round-trip exactly
-    through JSON (``repr`` of a Python float is shortest-round-trip), so
-    replay re-runs preprocessing and encoding on bit-identical input.
 ``encoded``
-    Pre-encoded hypervectors (the ``encode_only`` → ingest path); the
-    packed uint64 matrix is stored as base64 of its little-endian bytes.
+    A batch's QC survivors as encoded rows: the packed uint64 matrix as
+    base64 of its little-endian bytes, plus precursor m/z, charge and
+    identifier lists.  ``add_batch``, ``add_store``, streaming ingest and
+    the daemon all write it.
+
+Journals written before every write was encoded first may also hold
+``spectra`` records (raw spectra, peaks as JSON float lists that
+round-trip exactly).  They are replay-only: the repository decodes them,
+preprocesses and encodes them, and applies them like an ``encoded``
+record.  :meth:`WriteAheadLog.append_spectra` still writes one, for
+tests that build journals in that format.
 """
 
 from __future__ import annotations
@@ -155,7 +160,11 @@ class WriteAheadLog:
     def append_spectra(
         self, seq: int, spectra: Sequence[MassSpectrum]
     ) -> None:
-        """Journal a raw-spectra batch under sequence number ``seq``."""
+        """Journal a raw-spectra batch under sequence number ``seq``.
+
+        No repository writes this record kind any more; it builds
+        journals in the older format that replay must still accept.
+        """
         payload = {"spectra": [_spectrum_to_json(s) for s in spectra]}
         self._append(seq, "spectra", payload)
 

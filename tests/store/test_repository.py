@@ -1,11 +1,13 @@
 """Tests for the sharded repository: ingest, checkpoints, crash recovery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.cluster import quality_report
 from repro.errors import ConfigurationError, SpecHDError
-from repro.hdc import EncoderConfig
+from repro.hdc import EncoderConfig, IDLevelEncoder
 from repro.incremental import IncrementalClusterStore
 from repro.pipeline import SpecHDConfig, SpecHDPipeline
 from repro.store import (
@@ -14,6 +16,9 @@ from repro.store import (
     RepositoryManifest,
     shard_for_bucket,
 )
+from repro.store.repository import WAL_NAME
+from repro.store.wal import WriteAheadLog
+from repro.streaming import encode_spectra
 
 
 class TestShardMap:
@@ -303,13 +308,13 @@ class TestFailedApply:
         repository.add_batch(repo_dataset.spectra[:half])
 
         victim_shard = repository.shard(0)
-        original = victim_shard.add_batch
+        original = victim_shard.add_encoded
 
         def explode(*args, **kwargs):
             original(*args, **kwargs)  # shard 0 mutates, then we die
             raise RuntimeError("simulated failure mid-apply")
 
-        monkeypatch.setattr(victim_shard, "add_batch", explode)
+        monkeypatch.setattr(victim_shard, "add_encoded", explode)
         with pytest.raises(RuntimeError, match="mid-apply"):
             repository.add_batch(repo_dataset.spectra[half:])
 
@@ -325,6 +330,147 @@ class TestFailedApply:
         straight.add_batch(repo_dataset.spectra[:half])
         straight.add_batch(repo_dataset.spectra[half:])
         np.testing.assert_array_equal(reopened.labels(), straight.labels())
+
+
+class TestBadPrecursorRejected:
+    """A row no bucket can hold is refused before it reaches the journal.
+
+    Journaled, it would fail again on every replay, and every later
+    ``open`` of the repository would raise.
+    """
+
+    GOOD_ROWS = 40
+
+    def _refused_then_healthy(self, tmp_path, repo_config, repo_dataset, bad_call):
+        straight = ClusterRepository.create(tmp_path / "straight", repo_config)
+        straight.add_batch(repo_dataset.spectra[: self.GOOD_ROWS])
+        straight.add_batch(repo_dataset.spectra[self.GOOD_ROWS :])
+
+        repository = ClusterRepository.create(tmp_path / "repo", repo_config)
+        repository.add_batch(repo_dataset.spectra[: self.GOOD_ROWS])
+        journaled = repository.wal_bytes()
+        with pytest.raises(ConfigurationError, match="cannot be bucketed"):
+            bad_call(repository)
+        assert repository.wal_bytes() == journaled
+        # Not poisoned, and no sequence number was consumed.
+        report = repository.add_batch(repo_dataset.spectra[self.GOOD_ROWS :])
+        assert report.seq == 2
+        np.testing.assert_array_equal(repository.labels(), straight.labels())
+        repository.close()
+        reopened = ClusterRepository.open(tmp_path / "repo")
+        np.testing.assert_array_equal(reopened.labels(), straight.labels())
+
+    @pytest.mark.parametrize(
+        "mz, charge",
+        [
+            (500.0, 0),
+            (-1.0, 2),
+            (float("nan"), 2),
+            (float("inf"), 2),
+            (float("-inf"), 2),
+            (500.0, 40_000),
+            (1e308, 3),
+        ],
+        ids=[
+            "charge-0", "mz-negative", "mz-nan", "mz-inf", "mz-minus-inf",
+            "charge-beyond-int16", "bucket-overflow",
+        ],
+    )
+    def test_encoded_batch(self, tmp_path, repo_config, repo_dataset, mz, charge):
+        def bad_call(repository):
+            batch = encode_spectra(
+                repo_dataset.spectra[:2],
+                repo_config.preprocessing,
+                repository.encoder,
+            )
+            repository.add_encoded_batch(
+                batch.vectors,
+                [batch.precursor_mz[0], mz],
+                [batch.charge[0], charge],
+                batch.identifiers,
+            )
+
+        self._refused_then_healthy(tmp_path, repo_config, repo_dataset, bad_call)
+
+    def test_raw_batch(self, tmp_path, repo_config, repo_dataset):
+        """``MassSpectrum`` validation and QC both let m/z = +inf through."""
+
+        def bad_call(repository):
+            spectra = list(repo_dataset.spectra[:3])
+            spectra[1] = dataclasses.replace(
+                spectra[1], precursor_mz=float("inf")
+            )
+            repository.add_batch(spectra)
+
+        self._refused_then_healthy(tmp_path, repo_config, repo_dataset, bad_call)
+
+    def test_store_checked_before_first_slice(
+        self, tmp_path, repo_config, repo_dataset, repo_encoder, repo_threshold
+    ):
+        store = SpecHDPipeline(
+            SpecHDConfig(encoder=repo_encoder, cluster_threshold=repo_threshold)
+        ).encode_only(repo_dataset.spectra[:30])
+        store.charge[-1] = 0  # the last slice's last row
+
+        def bad_call(repository):
+            repository.add_store(store, batch_rows=10)
+
+        self._refused_then_healthy(tmp_path, repo_config, repo_dataset, bad_call)
+
+
+class TestLegacySpectraRecords:
+    """Journals with raw ``spectra`` records still replay on the one path."""
+
+    def test_mixed_journal_with_torn_tail_replays(
+        self, tmp_path, repo_config, repo_dataset
+    ):
+        spectra = repo_dataset.spectra
+        # Every spectrum of the third batch fails QC (too few peaks).
+        failing = [
+            dataclasses.replace(
+                spectrum, mz=spectrum.mz[:2], intensity=spectrum.intensity[:2]
+            )
+            for spectrum in spectra[30:34]
+        ]
+        batches = [spectra[:30], spectra[30:60], failing, spectra[60:]]
+
+        straight = ClusterRepository.create(tmp_path / "straight", repo_config)
+        for batch in batches:
+            straight.add_batch(batch)
+        expected = straight.labels()
+
+        directory = tmp_path / "legacy"
+        ClusterRepository.create(directory, repo_config).close()
+        wal = WriteAheadLog(directory / WAL_NAME)
+        wal.append_spectra(1, batches[0])
+        encoded = encode_spectra(
+            batches[1],
+            repo_config.preprocessing,
+            IDLevelEncoder(repo_config.encoder),
+        )
+        wal.append_encoded(
+            2,
+            encoded.vectors,
+            encoded.precursor_mz,
+            encoded.charge,
+            encoded.identifiers,
+        )
+        wal.append_spectra(3, batches[2])
+        wal.append_spectra(4, batches[3])
+        wal.close()
+        with open(directory / WAL_NAME, "ab") as handle:
+            handle.write(b'{"crc": 0, "body": "{\\"seq\\": 5')
+
+        reopened = ClusterRepository.open(directory)
+        np.testing.assert_array_equal(reopened.labels(), expected)
+        assert reopened.info()["applied_seq"] == 4
+        assert reopened.add_batch(spectra[:5]).seq == 5
+        straight.add_batch(spectra[:5])
+        reopened.checkpoint()
+        reopened.close()
+        np.testing.assert_array_equal(
+            ClusterRepository.open(directory).labels(), straight.labels()
+        )
 
 
 class TestCheckpoint:

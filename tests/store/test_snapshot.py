@@ -61,15 +61,18 @@ class TestSnapshotContents:
         restored = IncrementalClusterStore.load(tmp_path)
         assert len(restored) == len(store)
         assert restored.cluster_sizes() == store.cluster_sizes()
-        for row in range(len(store)):
-            original = store.spectrum_at(row)
-            copy = restored.spectrum_at(row)
-            assert copy.identifier == original.identifier
-            assert copy.precursor_mz == pytest.approx(original.precursor_mz)
-            assert copy.precursor_charge == original.precursor_charge
-            # Only the encoded representation survives — raw peaks are
-            # deliberately not persisted (the compression argument).
-            assert copy.peak_count == 0
+        rows = range(len(store))
+        identifiers, mz, charge = store.metadata_at(rows)
+        copy_identifiers, copy_mz, copy_charge = restored.metadata_at(rows)
+        # A row is its vector plus these three columns, exactly; no peaks
+        # are kept, before or after the round trip.
+        assert copy_identifiers == identifiers
+        assert copy_mz.dtype == np.float64 and copy_charge.dtype == np.int16
+        np.testing.assert_array_equal(copy_mz, mz)
+        np.testing.assert_array_equal(copy_charge, charge)
+        np.testing.assert_array_equal(
+            restored.vectors_at(rows), store.vectors_at(rows)
+        )
 
     def test_shared_encoder_reused(self, tmp_path, repo_dataset, repo_encoder):
         shared = IDLevelEncoder(repo_encoder)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.cluster import quality_report
+from repro.cluster.linkage import SUPPORTED_LINKAGES
 from repro.datasets import SyntheticConfig, generate_dataset
 from repro.errors import ConfigurationError
 from repro.hdc import EncoderConfig
 from repro.incremental import IncrementalClusterStore
+from repro.pipeline import SpecHDConfig, SpecHDPipeline
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +43,51 @@ class TestConstruction:
         assert len(store) == 0
         assert store.num_clusters == 0
         assert store.labels().size == 0
+
+
+def same_partition(left: np.ndarray, right: np.ndarray) -> bool:
+    """True when two labelings group the same rows (labels renamed)."""
+    if left.shape != right.shape:
+        return False
+    pairs = np.unique(np.stack([left, right]), axis=1).shape[1]
+    return pairs == np.unique(left).size == np.unique(right).size
+
+
+@pytest.fixture(scope="module")
+def bucketed_population():
+    """Several peptides per precursor bucket, plus singletons."""
+    return generate_dataset(
+        SyntheticConfig(
+            num_peptides=60,
+            replicates_per_peptide=10,
+            extra_singleton_peptides=80,
+            seed=3,
+        )
+    )
+
+
+class TestMatchesBatchPipeline:
+    """One batch into an empty store clusters like ``SpecHDPipeline.run``.
+
+    Multi-batch ingest absorbs into existing medoids first, so it is not
+    the batch pipeline's clustering and is not pinned here.
+    """
+
+    @pytest.mark.parametrize("linkage", SUPPORTED_LINKAGES)
+    def test_single_batch_partition(self, bucketed_population, linkage):
+        encoder = EncoderConfig(dim=1024, mz_bins=8_000, intensity_levels=32)
+        store = IncrementalClusterStore(
+            encoder_config=encoder, cluster_threshold=0.36, linkage=linkage
+        )
+        store.add_batch(bucketed_population.spectra)
+        result = SpecHDPipeline(
+            SpecHDConfig(
+                encoder=encoder, cluster_threshold=0.36, linkage=linkage
+            )
+        ).run(bucketed_population.spectra)
+        assert len(store) == result.labels.size
+        assert store.num_clusters == result.num_clusters
+        assert same_partition(store.labels(), result.labels)
 
 
 class TestSingleBatch:
@@ -216,6 +263,21 @@ class TestEncodedBatches:
                 np.zeros((2, 1024 // 64), dtype=np.uint64), [500.0], [2, 2],
                 ["a", "b"],
             )
+
+    def test_add_encoded_refuses_unbucketable_row_unchanged(self, population):
+        store = make_store()
+        store.add_batch(population.spectra[:20])
+        before = (len(store), store.labels(), store.medoid_rows())
+        with pytest.raises(ConfigurationError, match="cannot be bucketed"):
+            store.add_encoded(
+                np.zeros((2, 1024 // 64), dtype=np.uint64),
+                [500.0, 501.0],
+                [2, 0],
+                ["a", "b"],
+            )
+        assert len(store) == before[0]
+        np.testing.assert_array_equal(store.labels(), before[1])
+        assert store.medoid_rows() == before[2]
 
 
 class TestStorage:
