@@ -20,7 +20,7 @@ from repro.reporting import banner, format_table
 ENCODER = EncoderConfig(dim=2048, mz_bins=16_000, intensity_levels=64)
 
 
-def bench_ablation_incremental(benchmark, emit_report):
+def bench_ablation_incremental(emit_report):
     population = generate_dataset(
         SyntheticConfig(
             num_peptides=20,
@@ -99,10 +99,3 @@ def bench_ablation_incremental(benchmark, emit_report):
         full_quality.clustered_spectra_ratio - 0.15
     )
     assert update.absorption_rate > 0.3
-
-    benchmark(lambda: IncrementalClusterStore(
-        encoder_config=EncoderConfig(
-            dim=1024, mz_bins=8_000, intensity_levels=32
-        ),
-        cluster_threshold=0.36,
-    ).add_batch(first_half[:60]))

@@ -44,7 +44,7 @@ def identified_sets(spectra, labels, database):
     }
 
 
-def bench_fig11_peptide_overlap(benchmark, emit_report, quality_dataset, shared_encoder):
+def bench_fig11_peptide_overlap(emit_report, quality_dataset, shared_encoder):
     spectra = quality_dataset.spectra
     database = list(quality_dataset.peptides)
 
@@ -125,7 +125,3 @@ def bench_fig11_peptide_overlap(benchmark, emit_report, quality_dataset, shared_
         # SpecHD identifies at least 85% as many peptides as either tool.
         for other in ("gleams", "hyperspec"):
             assert len(spechd_ids) >= 0.85 * len(sets[other][charge])
-
-    benchmark(
-        lambda: identified_sets(spectra[:100], spechd_labels[:100], database)
-    )

@@ -13,7 +13,7 @@ from repro.reporting import banner, format_table
 from repro.search import SearchEngine
 
 
-def bench_search_speedup(benchmark, emit_report, quality_dataset):
+def bench_search_speedup(emit_report, quality_dataset):
     pipeline = SpecHDPipeline(
         SpecHDConfig(
             encoder=EncoderConfig(dim=2048, mz_bins=16_000, intensity_levels=64),
@@ -75,4 +75,3 @@ def bench_search_speedup(benchmark, emit_report, quality_dataset):
     emit_report("search_speedup", text)
 
     assert workload_reduction > 1.3
-    benchmark(lambda: SearchEngine(database).search_batch(representatives[:50]))

@@ -19,13 +19,7 @@ from .dendrogram import (
     cluster_sizes,
 )
 from .dbscan import DBSCANConfig, dbscan_precomputed, dbscan_num_clusters
-from .consensus import (
-    cluster_members,
-    medoid_index,
-    select_medoids,
-    representative_indices,
-    consensus_spectrum,
-)
+from .consensus import cluster_members, consensus_spectrum
 from .export import (
     to_newick,
     write_assignments_tsv,
@@ -61,9 +55,6 @@ __all__ = [
     "dbscan_precomputed",
     "dbscan_num_clusters",
     "cluster_members",
-    "medoid_index",
-    "select_medoids",
-    "representative_indices",
     "consensus_spectrum",
     "QualityReport",
     "clustered_spectra_ratio",

@@ -1,14 +1,15 @@
-"""Consensus / representative spectrum selection.
+"""Cluster membership and consensus spectra.
 
 After clustering, SpecHD picks a representative per cluster by "the lowest
 average minimum distance to all other spectra within that cluster, based on
-the original distance matrix" (§III-C) — i.e. the cluster *medoid*.  The
-medoid's spectrum (or hypervector) then stands in for the whole cluster in
-downstream database searching, which is where the 1.5–2× search speedup of
-§IV-E comes from.
+the original distance matrix" (§III-C) — i.e. the cluster *medoid*.  That
+rule lives with the bucket step that owns the matrix
+(:func:`repro.pipeline.cluster_bucket_vectors`).  The medoid's spectrum (or
+hypervector) then stands in for the whole cluster in downstream database
+searching, which is where the 1.5–2× search speedup of §IV-E comes from.
 
 For peak-level consensus (needed when exporting representative spectra to a
-search engine), we also provide the standard binned-average consensus
+search engine), this module provides the standard binned-average consensus
 builder used by tools like spectra-cluster.
 """
 
@@ -31,53 +32,6 @@ def cluster_members(labels: np.ndarray) -> Dict[int, np.ndarray]:
             continue
         members[int(label)] = np.flatnonzero(labels == label)
     return members
-
-
-def medoid_index(distances: np.ndarray, members: np.ndarray) -> int:
-    """Index (into the full matrix) of the medoid of ``members``.
-
-    The medoid minimises the average distance to the other members; the
-    lowest index wins ties, matching the hardware's first-match comparator.
-    Unsigned counts (the pipeline's uint16 matrices) sum in uint64.
-    """
-    members = np.asarray(members, dtype=np.int64)
-    if members.size == 0:
-        raise ClusteringError("cannot take the medoid of an empty cluster")
-    if members.size == 1:
-        return int(members[0])
-    sub = distances[np.ix_(members, members)]
-    mean_distance = sub.sum(axis=1) / (members.size - 1)
-    return int(members[int(np.argmin(mean_distance))])
-
-
-def select_medoids(
-    distances: np.ndarray, labels: np.ndarray
-) -> Dict[int, int]:
-    """Medoid spectrum index for every cluster label."""
-    return {
-        label: medoid_index(distances, members)
-        for label, members in cluster_members(labels).items()
-    }
-
-
-def representative_indices(
-    distances: np.ndarray, labels: np.ndarray, include_singletons: bool = True
-) -> List[int]:
-    """Indices of the spectra that represent the clustered dataset.
-
-    One medoid per multi-member cluster; singleton spectra represent
-    themselves when ``include_singletons`` is set.  The length of this list
-    over the dataset size is exactly the search-workload reduction factor.
-    """
-    labels = np.asarray(labels)
-    representatives: List[int] = []
-    for label, members in cluster_members(labels).items():
-        if members.size == 1 and not include_singletons:
-            continue
-        representatives.append(medoid_index(distances, members))
-    if include_singletons:
-        representatives.extend(int(i) for i in np.flatnonzero(labels < 0))
-    return sorted(representatives)
 
 
 def consensus_spectrum(

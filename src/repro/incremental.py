@@ -8,9 +8,13 @@ promising approach for enhancing real-time data analysis."
 :class:`IncrementalClusterStore` realises that idea on top of the SpecHD
 substrate: hypervectors are encoded once and persisted (they are 24x-108x
 smaller than the raw data, so keeping them is cheap); each new batch of
-spectra is encoded, compared against the stored cluster medoids of its
-precursor bucket, and either absorbed into an existing cluster or clustered
-among the batch's own leftovers with NN-chain.
+spectra is encoded and grouped by precursor bucket.  A bucket's new rows
+are compared against its stored cluster medoids in one cross-distance scan
+and absorbed, in batch order, into the nearest medoid within the
+threshold; the rows left over are clustered among themselves by the batch
+pipeline's bucket step (:func:`repro.pipeline.cluster_bucket_vectors`),
+whose distance matrix also gives each fresh cluster its distance sums and
+medoid.
 
 The store is snapshotable: :meth:`IncrementalClusterStore.save` persists
 the packed hypervectors (as a :class:`repro.io.HypervectorStore`) plus the
@@ -24,21 +28,16 @@ paper's compression argument made literal.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, ParseError
-from .hdc import (
-    EncoderConfig,
-    IDLevelEncoder,
-    hamming_to_query,
-    pairwise_hamming_blocked,
-)
+from .hdc import EncoderConfig, IDLevelEncoder, hamming_cross, hamming_to_query
 from .io.hvstore import HypervectorStore
-from .pipeline import cluster_bucket_vectors
+from .pipeline import BucketCluster, cluster_bucket_vectors, medoid_position
 from .spectrum import (
     BucketingConfig,
     MassSpectrum,
@@ -56,18 +55,19 @@ STATE_FORMAT_VERSION = 1
 class _Cluster:
     """Book-keeping for one stored cluster.
 
-    ``dist_sums[i]`` is the exact total Hamming distance from member ``i``
-    (in ``member_rows`` order) to every other member.  Maintaining these
-    sums incrementally makes absorbing one spectrum O(k · words) instead of
-    the O(k² · words) full pairwise recompute, while selecting the exact
-    same medoid (argmin of the sums equals argmin of the mean distances).
+    ``dist_sums[i]`` (int64) is the exact total Hamming distance from
+    member ``i`` (in ``member_rows`` order) to every other member.  A fresh
+    cluster takes them from its bucket's distance matrix; absorbing one
+    spectrum adds one Hamming sweep over the members, O(k · words) instead
+    of a O(k² · words) pairwise recompute, and the medoid stays the exact
+    first minimum of the sums (:func:`repro.pipeline.medoid_position`).
     """
 
     label: int
     bucket: Tuple[int, int]
-    member_rows: List[int] = field(default_factory=list)
-    medoid_row: int = -1
-    dist_sums: List[int] = field(default_factory=list)
+    member_rows: List[int]
+    medoid_row: int
+    dist_sums: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,7 @@ class IncrementalClusterStore:
         charge: np.ndarray,
         identifiers: List[str],
     ) -> Tuple[int, int]:
-        """Shared core: append rows, absorb, NN-chain the leftovers."""
+        """Shared core: append rows, absorb per bucket, cluster leftovers."""
         threshold_bits = self.cluster_threshold * self.encoder.dim
         base_row = len(self)
         self._vectors = (
@@ -280,111 +280,106 @@ class IncrementalClusterStore:
         self._charge = np.concatenate([self._charge, charge])
         self._row_labels.extend([-1] * len(identifiers))
 
-        absorbed = 0
-        leftovers_by_bucket: Dict[Tuple[int, int], List[int]] = {}
+        rows_by_bucket: Dict[Tuple[int, int], List[int]] = {}
         for offset, (mz, ch) in enumerate(
             zip(precursor_mz.tolist(), charge.tolist())
         ):
-            row = base_row + offset
             bucket = precursor_bucket_key(mz, ch, self.bucketing)
-            label = self._try_absorb(row, bucket, threshold_bits)
-            if label is not None:
-                self._row_labels[row] = label
-                absorbed += 1
-            else:
-                leftovers_by_bucket.setdefault(bucket, []).append(row)
+            rows_by_bucket.setdefault(bucket, []).append(base_row + offset)
+
+        absorbed = 0
+        leftovers_by_bucket: Dict[Tuple[int, int], List[int]] = {}
+        for bucket, rows in rows_by_bucket.items():
+            leftovers = self._absorb_bucket(bucket, rows, threshold_bits)
+            absorbed += len(rows) - len(leftovers)
+            if leftovers:
+                leftovers_by_bucket[bucket] = leftovers
 
         new_clusters = 0
-        # Leftover buckets are clustered in insertion order, which fixes
-        # the new clusters' label numbering.
-        for bucket, rows in leftovers_by_bucket.items():
-            if len(rows) > 1:
-                local_labels, _stats, _distances = cluster_bucket_vectors(
-                    self._vectors[rows], self.linkage, threshold_bits
-                )
-            else:
-                local_labels = np.zeros(1, dtype=np.int64)
-            new_clusters += self._apply_leftover_labels(
-                bucket, rows, local_labels
+        # Leftover buckets are clustered in the order of their first
+        # leftover row, which fixes the new clusters' label numbering.
+        for bucket, rows in sorted(
+            leftovers_by_bucket.items(), key=lambda item: item[1][0]
+        ):
+            clusters, _stats, _distances = cluster_bucket_vectors(
+                self._vectors[rows], self.linkage, threshold_bits
             )
+            for cluster in clusters:
+                self._add_cluster(bucket, rows, cluster)
+            new_clusters += len(clusters)
         return absorbed, new_clusters
 
-    def _try_absorb(
-        self, row: int, bucket: Tuple[int, int], threshold_bits: float
-    ) -> int | None:
-        """Absorb a spectrum into the nearest in-bucket medoid, if close."""
-        candidate_labels = self._clusters_by_bucket.get(bucket, [])
-        if not candidate_labels:
-            return None
-        medoid_rows = np.array(
-            [self._clusters[label].medoid_row for label in candidate_labels]
-        )
-        distances = hamming_to_query(
-            self._vectors[medoid_rows], self._vectors[row]
-        )
-        best = int(np.argmin(distances))
-        if distances[best] > threshold_bits:
-            return None
-        label = candidate_labels[best]
-        self._absorb_into(label, row)
-        return label
+    def _absorb_bucket(
+        self, bucket: Tuple[int, int], rows: List[int], threshold_bits: float
+    ) -> List[int]:
+        """Absorb one bucket's new rows into their nearest stored medoid.
 
-    def _absorb_into(self, label: int, row: int) -> None:
+        One cross-distance scan measures every row against the bucket's
+        medoids.  Rows are decided in batch order; a row within the
+        threshold joins the first nearest medoid's cluster, and when that
+        moves the medoid, its column is recomputed for the rows still to
+        come, so each decision is the one a row-at-a-time scan would make.
+        Returns the rows that were not absorbed.
+        """
+        labels = self._clusters_by_bucket.get(bucket)
+        if not labels:
+            return rows
+        medoids = np.array([self._clusters[i].medoid_row for i in labels])
+        distances = hamming_cross(
+            self._vectors[rows], self._vectors[medoids].T
+        )
+        leftovers = []
+        for index, row in enumerate(rows):
+            best = int(np.argmin(distances[index]))
+            if distances[index, best] > threshold_bits:
+                leftovers.append(row)
+                continue
+            cluster = self._clusters[labels[best]]
+            self._absorb_into(cluster, row)
+            if cluster.medoid_row != medoids[best] and index + 1 < len(rows):
+                medoids[best] = cluster.medoid_row
+                distances[index + 1 :, best] = hamming_to_query(
+                    self._vectors[rows[index + 1 :]],
+                    self._vectors[cluster.medoid_row],
+                )
+        return leftovers
+
+    def _absorb_into(self, cluster: _Cluster, row: int) -> None:
         """Add ``row`` to a cluster, updating distance sums incrementally.
 
         One Hamming sweep over the cluster's members updates every
         member's total distance and yields the newcomer's total; the new
-        medoid is the member with the minimum total, which is exactly the
-        argmin of the mean pairwise distance a full recompute would take.
+        medoid is the first minimum of the updated totals.
         """
-        cluster = self._clusters[label]
         member_distances = hamming_to_query(
-            self._vectors[np.array(cluster.member_rows)], self._vectors[row]
+            self._vectors[cluster.member_rows], self._vectors[row]
         )
-        for index, delta in enumerate(member_distances):
-            cluster.dist_sums[index] += int(delta)
+        cluster.dist_sums = np.append(
+            cluster.dist_sums + member_distances, member_distances.sum()
+        )
         cluster.member_rows.append(row)
-        cluster.dist_sums.append(int(member_distances.sum()))
         cluster.medoid_row = cluster.member_rows[
-            int(np.argmin(cluster.dist_sums))
+            medoid_position(cluster.dist_sums)
         ]
+        self._row_labels[row] = cluster.label
 
-    def _apply_leftover_labels(
-        self,
-        bucket: Tuple[int, int],
-        rows: List[int],
-        local_labels: np.ndarray,
-    ) -> int:
-        """Materialise fresh clusters from one bucket's local labelling."""
-        created = 0
-        for local in np.unique(local_labels):
-            member_rows = [
-                rows[i] for i in np.flatnonzero(local_labels == local)
-            ]
-            label = self._next_label
-            self._next_label += 1
-            cluster = _Cluster(
-                label=label, bucket=bucket, member_rows=member_rows
-            )
-            self._clusters[label] = cluster
-            self._clusters_by_bucket.setdefault(bucket, []).append(label)
-            for member_row in member_rows:
-                self._row_labels[member_row] = label
-            self._init_cluster_distances(cluster)
-            created += 1
-        return created
-
-    def _init_cluster_distances(self, cluster: _Cluster) -> None:
-        """Full pairwise pass for a fresh cluster: sums + exact medoid."""
-        rows = np.array(cluster.member_rows)
-        if rows.size == 1:
-            cluster.dist_sums = [0]
-            cluster.medoid_row = int(rows[0])
-            return
-        pairwise = pairwise_hamming_blocked(self._vectors[rows])
-        sums = pairwise.sum(axis=1)
-        cluster.dist_sums = [int(total) for total in sums]
-        cluster.medoid_row = int(rows[int(np.argmin(sums))])
+    def _add_cluster(
+        self, bucket: Tuple[int, int], rows: List[int], cluster: BucketCluster
+    ) -> None:
+        """Store one fresh cluster of a leftover bucket (``rows`` order)."""
+        member_rows = [rows[i] for i in cluster.members.tolist()]
+        label = self._next_label
+        self._next_label += 1
+        self._clusters[label] = _Cluster(
+            label=label,
+            bucket=bucket,
+            member_rows=member_rows,
+            medoid_row=member_rows[cluster.medoid],
+            dist_sums=cluster.dist_sums,
+        )
+        self._clusters_by_bucket.setdefault(bucket, []).append(label)
+        for member_row in member_rows:
+            self._row_labels[member_row] = label
 
     # ------------------------------------------------------------------
     # Persistence
@@ -412,7 +407,7 @@ class IncrementalClusterStore:
                     "bucket": list(cluster.bucket),
                     "members": cluster.member_rows,
                     "medoid": cluster.medoid_row,
-                    "dist_sums": cluster.dist_sums,
+                    "dist_sums": cluster.dist_sums.tolist(),
                 }
                 for cluster in self._clusters.values()
             ],
@@ -520,7 +515,7 @@ class IncrementalClusterStore:
                 bucket=(int(record["bucket"][0]), int(record["bucket"][1])),
                 member_rows=[int(row) for row in record["members"]],
                 medoid_row=int(record["medoid"]),
-                dist_sums=[int(total) for total in record["dist_sums"]],
+                dist_sums=np.array(record["dist_sums"], dtype=np.int64),
             )
             instance._clusters[cluster.label] = cluster
             instance._clusters_by_bucket.setdefault(

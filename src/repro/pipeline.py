@@ -19,7 +19,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .cluster import (
     ClusteringStats,
     cluster_members,
     cut_at_height,
-    medoid_index,
     nn_chain_linkage,
     quality_report,
 )
@@ -153,18 +152,64 @@ class SpecHDResult:
         return np.flatnonzero(keep).tolist()
 
 
+class BucketCluster(NamedTuple):
+    """One cluster of a clustered precursor bucket.
+
+    ``members`` are the cluster's bucket-local positions in ascending
+    order, ``dist_sums[i]`` is member ``i``'s total Hamming distance
+    (int64) to the other members, and ``medoid`` is the position in
+    ``members`` of the cluster's representative (:func:`medoid_position`).
+    """
+
+    members: np.ndarray
+    dist_sums: np.ndarray
+    medoid: int
+
+
+def medoid_position(dist_sums: np.ndarray) -> int:
+    """The medoid rule: the first minimum of the member distance sums.
+
+    SpecHD's representative has "the lowest average distance to all other
+    spectra within that cluster" (§III-C); the lowest sum is the lowest
+    average, and the lowest position wins ties, like the hardware's
+    first-match comparator.
+    """
+    return int(np.argmin(dist_sums))
+
+
 def cluster_bucket_vectors(
     vectors: np.ndarray, linkage: str, threshold_bits: float
-) -> Tuple[np.ndarray, ClusteringStats, np.ndarray]:
+) -> Tuple[List[BucketCluster], ClusteringStats, np.ndarray]:
     """Cluster one precursor bucket of packed hypervectors.
 
-    Returns ``(labels, stats, distances)``: the bucket-local labels cut at
-    ``threshold_bits``, the NN-chain operation counts and the bucket's
-    uint16 Hamming distance matrix.
+    Returns ``(clusters, stats, distances)``: the clusters of the cut at
+    ``threshold_bits`` in label order (the order of their first member),
+    the NN-chain operation counts and the bucket's uint16 Hamming distance
+    matrix.  A cluster's distance sums are the row sums of that matrix's
+    member block, so no second pairwise pass is needed.  A one-row bucket
+    runs neither the pairwise nor the NN-chain pass.
     """
-    distances = pairwise_hamming_blocked(vectors)
-    result = nn_chain_linkage(distances, linkage)
-    return cut_at_height(result, threshold_bits), result.stats, distances
+    if len(vectors) == 1:
+        labels = np.zeros(1, dtype=np.int64)
+        stats, distances = ClusteringStats(), np.zeros((1, 1), np.uint16)
+    else:
+        distances = pairwise_hamming_blocked(vectors)
+        result = nn_chain_linkage(distances, linkage)
+        labels = cut_at_height(result, threshold_bits)
+        stats = result.stats
+    clusters = []
+    for members in cluster_members(labels).values():
+        # A singleton's sum is 0; skipping its 1x1 block keeps a bucket
+        # of mostly singletons as cheap as labelling it.
+        if members.size == 1:
+            dist_sums = np.zeros(1, dtype=np.int64)
+        else:
+            block = distances[members[:, None], members]
+            dist_sums = block.sum(axis=1, dtype=np.int64)
+        clusters.append(
+            BucketCluster(members, dist_sums, medoid_position(dist_sums))
+        )
+    return clusters, stats, distances
 
 
 class SpecHDPipeline:
@@ -330,6 +375,7 @@ class SpecHDPipeline:
         )
 
         labels = np.full(len(kept), -1, dtype=np.int64)
+        medoids: Dict[int, int] = {}
         distances_by_bucket: Dict[Tuple[int, int], np.ndarray] = {}
         total_stats = ClusteringStats()
         threshold_bits = config.cluster_threshold * config.encoder.dim
@@ -337,41 +383,29 @@ class SpecHDPipeline:
         # fixes the global label numbering.
         next_label = 0
         for key in sorted(buckets):
-            members = buckets[key]
-            if len(members) == 1:
-                labels[members[0]] = next_label
-                next_label += 1
-                continue
-            bucket_labels, stats, distances = cluster_bucket_vectors(
+            members = np.asarray(buckets[key])
+            clusters, stats, distances = cluster_bucket_vectors(
                 hypervectors[members], config.linkage, threshold_bits
             )
+            for cluster in clusters:
+                rows = members[cluster.members]
+                labels[rows] = next_label
+                if rows.size > 1:
+                    medoids[next_label] = int(rows[cluster.medoid])
+                next_label += 1
+            if members.size == 1:
+                continue
             distances_by_bucket[key] = distances
-            for local_index, member in enumerate(members):
-                labels[member] = next_label + int(bucket_labels[local_index])
-            next_label += int(bucket_labels.max()) + 1
-
             total_stats.distance_scans += stats.distance_scans
             total_stats.distance_updates += stats.distance_updates
             total_stats.chain_extensions += stats.chain_extensions
             total_stats.merges += stats.merges
             hardware.distance_cycles += distance_matrix_cycles(
-                len(members), config.encoder.dim
+                members.size, config.encoder.dim
             )
             hardware.nnchain_cycles += nnchain_cycles_from_stats(
-                stats.distance_scans, stats.distance_updates, len(members)
+                stats.distance_scans, stats.distance_updates, members.size
             )
-
-        # Medoids per multi-member cluster, using original bucket distances.
-        medoids: Dict[int, int] = {}
-        for key, members in buckets.items():
-            if len(members) < 2:
-                continue
-            distances = distances_by_bucket[key]
-            member_array = np.array(members)
-            for label, local in cluster_members(labels[member_array]).items():
-                if local.size > 1:
-                    winner = medoid_index(distances, local)
-                    medoids[label] = int(member_array[winner])
 
         return SpecHDResult(
             labels=labels,

@@ -128,10 +128,21 @@ def partition_spectra(
     Returns a mapping from bucket key to the list of *positions* of member
     spectra in the input order.  Positions (not objects) are returned so the
     caller can slice parallel arrays (e.g. the encoded hypervector matrix).
+    The precursor columns go through :func:`check_precursor_columns` first,
+    so a row the repository writer would refuse is refused here too, with
+    the same :class:`ConfigurationError`.
     """
+    spectra = list(spectra)
+    precursor_mz, charge = check_precursor_columns(
+        [spectrum.precursor_mz for spectrum in spectra],
+        [spectrum.precursor_charge for spectrum in spectra],
+        config,
+    )
     buckets: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-    for position, spectrum in enumerate(spectra):
-        buckets[bucket_key(spectrum, config)].append(position)
+    for position, (mz, ch) in enumerate(
+        zip(precursor_mz.tolist(), charge.tolist())
+    ):
+        buckets[precursor_bucket_key(mz, ch, config)].append(position)
     return dict(buckets)
 
 

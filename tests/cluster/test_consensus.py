@@ -1,73 +1,23 @@
-"""Tests for medoid selection and consensus spectra."""
+"""Tests for cluster membership and consensus spectra.
+
+The medoid rule is tested with the bucket step that owns it
+(``tests/test_pipeline.py::TestBucketStep``).
+"""
 
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    cluster_members,
-    consensus_spectrum,
-    medoid_index,
-    representative_indices,
-    select_medoids,
-)
+from repro.cluster import cluster_members, consensus_spectrum
 from repro.errors import ClusteringError
 from repro.spectrum import MassSpectrum
 
 
-def line_distances():
-    """Five points on a line: 0, 1, 2, 10, 11."""
-    positions = np.array([0.0, 1.0, 2.0, 10.0, 11.0])
-    return np.abs(positions[:, None] - positions[None, :])
-
-
-class TestMedoid:
-    def test_central_point_wins(self):
-        distances = line_distances()
-        assert medoid_index(distances, np.array([0, 1, 2])) == 1
-
-    def test_singleton_is_its_own_medoid(self):
-        assert medoid_index(line_distances(), np.array([3])) == 3
-
-    def test_empty_cluster_rejected(self):
-        with pytest.raises(ClusteringError):
-            medoid_index(line_distances(), np.array([], dtype=np.int64))
-
-    def test_tie_breaks_to_lowest_index(self):
-        distances = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert medoid_index(distances, np.array([0, 1])) == 0
-
-
-class TestSelectMedoids:
-    def test_per_cluster_medoids(self):
-        labels = np.array([0, 0, 0, 1, 1])
-        medoids = select_medoids(line_distances(), labels)
-        assert medoids == {0: 1, 1: 3}
-
+class TestClusterMembers:
     def test_noise_excluded(self):
         labels = np.array([0, 0, -1, 1, 1])
         members = cluster_members(labels)
         assert -1 not in members
         assert sorted(members) == [0, 1]
-
-
-class TestRepresentatives:
-    def test_medoids_plus_singletons(self):
-        labels = np.array([0, 0, 0, -1, -1])
-        reps = representative_indices(line_distances(), labels)
-        assert reps == [1, 3, 4]
-
-    def test_without_singletons(self):
-        labels = np.array([0, 0, 0, -1, -1])
-        reps = representative_indices(
-            line_distances(), labels, include_singletons=False
-        )
-        assert reps == [1]
-
-    def test_reduction_factor(self):
-        """Representatives over total = the search-workload reduction."""
-        labels = np.array([0, 0, 0, 1, 1])
-        reps = representative_indices(line_distances(), labels)
-        assert len(reps) == 2  # 5 spectra -> 2 searches
 
 
 class TestConsensusSpectrum:

@@ -71,6 +71,29 @@ class TestClusterCommand:
         empty.write_text("")
         assert main(["cluster", str(empty)]) == 1
 
+    @pytest.mark.parametrize(
+        "pepmass, charge, shown",
+        [
+            ("inf", "2+", "inf with charge 2"),
+            ("1e308", "3+", "1e+308 with charge 3"),
+        ],
+    )
+    def test_unbucketable_precursor_fails(
+        self, mgf_path, pepmass, charge, shown, tmp_path, capsys
+    ):
+        lines = mgf_path.read_text().splitlines()
+        for prefix, value in (("PEPMASS=", pepmass), ("CHARGE=", charge)):
+            first = next(
+                i for i, line in enumerate(lines) if line.startswith(prefix)
+            )
+            lines[first] = prefix + value
+        bad = tmp_path / "bad.mgf"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["cluster", str(bad), "--dim", "1024"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: row 0: precursor m/z {shown} cannot be bucketed\n"
+        )
+
 
 class TestInfoCommand:
     def test_summary(self, mgf_path, capsys):

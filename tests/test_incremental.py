@@ -164,20 +164,25 @@ class TestIncrementalUpdates:
 
 
 class TestMedoidMaintenance:
-    def test_incremental_medoids_equal_exact_recompute(self, population):
+    @pytest.mark.parametrize(
+        "batch", [None, 64, 1], ids=["thirds", "64", "1"]
+    )
+    def test_incremental_medoids_equal_exact_recompute(
+        self, population, batch
+    ):
         """The amortised distance sums must pin the exact medoid.
 
-        After a mix of cluster creations and absorptions, every cluster's
+        After a mix of cluster creations and absorptions, in batches of a
+        third of the population, of 64 or of one spectrum, every cluster's
         medoid must equal the argmin of a from-scratch pairwise mean, with
         the same first-minimum tie-breaking.
         """
         from repro.hdc import pairwise_hamming_blocked
 
         store = make_store()
-        third = len(population) // 3
-        store.add_batch(population.spectra[:third])
-        store.add_batch(population.spectra[third : 2 * third])
-        store.add_batch(population.spectra[2 * third :])
+        size = batch or -(-len(population) // 3)
+        for start in range(0, len(population), size):
+            store.add_batch(population.spectra[start : start + size])
 
         checked = 0
         for label, cluster in store._clusters.items():
@@ -194,6 +199,42 @@ class TestMedoidMaintenance:
             )
             checked += 1
         assert checked > 0  # the dataset must actually form multi-member clusters
+
+    def test_medoid_moved_mid_batch_is_rescanned(self):
+        """A later row of a batch sees the medoid an earlier row moved.
+
+        One-word vectors with the first ``p`` bits set sit at Hamming
+        distance ``|p - q|``.  The stored cluster is {0, 2} with medoid 0.
+        The batch's first row (4) joins it and moves the medoid to 2; its
+        second row (7) is 5 bits from the new medoid, within the 6-bit
+        threshold, but 7 bits from the old one.
+        """
+        store = IncrementalClusterStore(
+            encoder_config=EncoderConfig(
+                dim=64, mz_bins=1_000, intensity_levels=8
+            ),
+            cluster_threshold=6 / 64,
+        )
+
+        def add(positions):
+            vectors = np.array(
+                [[(1 << p) - 1] for p in positions], dtype=np.uint64
+            )
+            count = len(positions)
+            identifiers = [str(p) for p in positions]
+            return store.add_encoded(
+                vectors, [500.0] * count, [2] * count, identifiers
+            )
+
+        add([0, 2])
+        assert store.medoid_rows() == {0: 0}
+        report = add([4, 7])
+        assert (report.num_absorbed, report.num_new_clusters) == (2, 0)
+        assert store.labels().tolist() == [0, 0, 0, 0]
+        assert store.medoid_rows() == {0: 1}
+        np.testing.assert_array_equal(
+            store._clusters[0].dist_sums, [13, 9, 9, 15]
+        )
 
     def test_absorption_updates_sums_incrementally(self, population):
         store = make_store()

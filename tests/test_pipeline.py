@@ -6,7 +6,12 @@ import pytest
 from repro import SpecHDConfig, SpecHDPipeline
 from repro.errors import ConfigurationError
 from repro.hdc import EncoderConfig
-from repro.spectrum import MassSpectrum
+from repro.pipeline import cluster_bucket_vectors
+from repro.spectrum import (
+    MassSpectrum,
+    check_precursor_columns,
+    partition_spectra,
+)
 from repro.testing import oracles
 
 
@@ -129,6 +134,63 @@ class TestRun:
         np.testing.assert_array_equal(
             again.labels, pipeline.run(labelled_dataset.spectra).labels
         )
+
+
+def line_vectors(positions):
+    """One-word hypervectors whose Hamming distances are ``|p_i - p_j|``."""
+    return np.array([[(1 << p) - 1] for p in positions], dtype=np.uint64)
+
+
+class TestBucketStep:
+    """Members, distance sums and the one medoid rule of a bucket."""
+
+    @pytest.mark.parametrize(
+        "positions, threshold, expected",
+        [
+            ([0, 1, 2], 2, [([0, 1, 2], [3, 2, 3], 1)]),
+            ([0, 1], 1, [([0, 1], [1, 1], 0)]),
+            ([0, 2, 4, 6], 6, [([0, 1, 2, 3], [12, 8, 8, 12], 1)]),
+            ([5], 0, [([0], [0], 0)]),
+            ([0, 1, 2, 40], 2, [([0, 1, 2], [3, 2, 3], 1), ([3], [0], 0)]),
+        ],
+        ids=[
+            "central-point",
+            "tie-pair-lowest",
+            "tie-inner-lowest",
+            "one-row-bucket",
+            "singleton-cluster",
+        ],
+    )
+    def test_members_sums_and_medoid(self, positions, threshold, expected):
+        clusters, _stats, _distances = cluster_bucket_vectors(
+            line_vectors(positions), "complete", threshold
+        )
+        got = [
+            (c.members.tolist(), c.dist_sums.tolist(), c.medoid)
+            for c in clusters
+        ]
+        assert got == expected
+
+
+class TestUnbucketablePrecursor:
+    @pytest.mark.parametrize(
+        "mz, charge",
+        [(float("nan"), 2), (float("inf"), 2), (float("-inf"), 2), (1e308, 3)],
+    )
+    def test_refused_like_the_writer(self, simple_spectrum, mz, charge):
+        bad = simple_spectrum.copy()
+        # Set after construction: the constructor refuses -inf, but the
+        # bucketing check must not rely on any caller's validation.
+        bad.precursor_mz, bad.precursor_charge = mz, charge
+        with pytest.raises(
+            ConfigurationError, match=r"^row 1: .* cannot be bucketed$"
+        ) as refused:
+            partition_spectra([simple_spectrum, bad])
+        with pytest.raises(ConfigurationError) as writer:
+            check_precursor_columns(
+                [simple_spectrum.precursor_mz, mz], [2, charge]
+            )
+        assert str(refused.value) == str(writer.value)
 
 
 class TestThresholdBehaviour:
