@@ -29,7 +29,7 @@ def quality_at_dim(dim, dataset):
     return pipeline.run(dataset.spectra).quality(dataset.labels)
 
 
-def bench_ablation_dhv(benchmark, emit_report, quality_dataset):
+def bench_ablation_dhv(emit_report, quality_dataset):
     rows = []
     reports = {}
     for dim in DIMS:
@@ -76,5 +76,3 @@ def bench_ablation_dhv(benchmark, emit_report, quality_dataset):
         reports[4096].clustered_spectra_ratio
         - reports[2048].clustered_spectra_ratio
     ) < 0.10
-
-    benchmark(lambda: quality_at_dim(512, quality_dataset))

@@ -15,7 +15,7 @@ from repro.units import format_seconds
 KERNEL_COUNTS = (1, 2, 3, 4, 5, 6, 8)
 
 
-def bench_ablation_kernel_count(benchmark, emit_report):
+def bench_ablation_kernel_count(emit_report):
     dataset = get_dataset("PXD000561")
 
     def compute():
@@ -28,7 +28,7 @@ def bench_ablation_kernel_count(benchmark, emit_report):
             for count in KERNEL_COUNTS
         }
 
-    reports = benchmark(compute)
+    reports = compute()
     feasible_max = max_cluster_kernels()
 
     rows = []

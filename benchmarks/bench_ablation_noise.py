@@ -62,7 +62,7 @@ def quality_at(dropout, noise_peaks, icr_budget=0.02):
     return best
 
 
-def bench_ablation_noise(benchmark, emit_report):
+def bench_ablation_noise(emit_report):
     rows = []
     reports = {}
     for dropout, noise_peaks, label in NOISE_LEVELS:
@@ -108,5 +108,3 @@ def bench_ablation_noise(benchmark, emit_report):
     )
     assert reports["typical"].incorrect_clustering_ratio < 0.05
     assert reports["mild"].incorrect_clustering_ratio < 0.05
-
-    benchmark(lambda: quality_at(0.15, 8))

@@ -15,7 +15,7 @@ from repro.fpga import MSASModel, host_mediated_transfer, p2p_transfer
 from repro.reporting import banner, format_table
 
 
-def bench_ablation_p2p_paths(benchmark, emit_report):
+def bench_ablation_p2p_paths(emit_report):
     msas = MSASModel()
 
     def compute():
@@ -32,7 +32,7 @@ def bench_ablation_p2p_paths(benchmark, emit_report):
             rows[pride_id] = (spechd, raw_p2p, raw_host)
         return rows
 
-    rows = benchmark(compute)
+    rows = compute()
 
     table = []
     for pride_id in DATASET_ORDER:

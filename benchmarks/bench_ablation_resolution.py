@@ -15,7 +15,7 @@ from repro.spectrum import BucketingConfig, bucket_statistics, partition_spectra
 RESOLUTIONS = (0.05, 0.1, 0.25, 0.5, 1.0)
 
 
-def bench_ablation_resolution(benchmark, emit_report, quality_dataset):
+def bench_ablation_resolution(emit_report, quality_dataset):
     encoder = EncoderConfig(dim=2048, mz_bins=16_000, intensity_levels=64)
     rows = []
     qualities = {}
@@ -83,9 +83,3 @@ def bench_ablation_resolution(benchmark, emit_report, quality_dataset):
         qualities[1.0].clustered_spectra_ratio
         - qualities[0.05].clustered_spectra_ratio
     ) < 0.15
-
-    benchmark(
-        lambda: partition_spectra(
-            quality_dataset.spectra, BucketingConfig(resolution=0.05)
-        )
-    )

@@ -64,7 +64,7 @@ def best_ratio_at_budget(points, budget=0.01):
     return max(eligible) if eligible else 0.0
 
 
-def bench_fig10_quality_tradeoff(benchmark, emit_report, quality_dataset, shared_encoder):
+def bench_fig10_quality_tradeoff(emit_report, quality_dataset, shared_encoder):
     encoder_config = EncoderConfig(
         dim=2048, mz_bins=16_000, intensity_levels=64
     )
@@ -121,9 +121,3 @@ def bench_fig10_quality_tradeoff(benchmark, emit_report, quality_dataset, shared
     # ...and beats the greedy tools, as in the paper.
     assert spechd_point >= operating_points["mscluster"] - 0.05
     assert spechd_point >= operating_points["spectra-cluster"] - 0.05
-
-    # Benchmark target: one SpecHD sweep point.
-    pipeline = SpecHDPipeline(
-        SpecHDConfig(encoder=encoder_config, cluster_threshold=0.3)
-    )
-    benchmark(lambda: pipeline.run(quality_dataset.spectra[:100]))

@@ -20,7 +20,7 @@ def random_matrix(n, seed=0):
     return np.sqrt((deltas ** 2).sum(axis=-1))
 
 
-def bench_fig2_comparison(benchmark, emit_report):
+def bench_fig2_comparison(emit_report):
     sizes = [64, 128, 256, 512]
     rows = []
     for n in sizes:
@@ -62,9 +62,9 @@ def bench_fig2_comparison(benchmark, emit_report):
     )
     emit_report("fig2_nnchain_vs_naive", text)
 
-    # Timed benchmark target: NN-chain at n=256.
+    # NN-chain at n=256 merges every point.
     matrix = random_matrix(256)
-    result = benchmark(lambda: nn_chain_linkage(matrix, "complete"))
+    result = nn_chain_linkage(matrix, "complete")
     assert result.merges.shape[0] == 255
 
     # The asymptotic separation must be visible across the sweep.

@@ -39,7 +39,7 @@ def best_operating_point(linkage, dataset):
     return best
 
 
-def bench_fig6a_linkage_comparison(benchmark, emit_report, quality_dataset):
+def bench_fig6a_linkage_comparison(emit_report, quality_dataset):
     results = {}
     for linkage in LINKAGES:
         results[linkage] = best_operating_point(linkage, quality_dataset)
@@ -94,10 +94,3 @@ def bench_fig6a_linkage_comparison(benchmark, emit_report, quality_dataset):
             complete.clustered_spectra_ratio
             >= single.clustered_spectra_ratio - 0.02
         )
-
-    # Benchmark target: one full pipeline run at the winning linkage.
-    encoder = EncoderConfig(dim=2048, mz_bins=16_000, intensity_levels=64)
-    pipeline = SpecHDPipeline(
-        SpecHDConfig(encoder=encoder, linkage="complete", cluster_threshold=0.3)
-    )
-    benchmark(lambda: pipeline.run(quality_dataset.spectra[:120]))

@@ -10,7 +10,7 @@ from repro.reporting import banner, format_table
 from repro.units import format_bytes
 
 
-def bench_fig6b_compression(benchmark, emit_report):
+def bench_fig6b_compression(emit_report):
     def compute():
         return {
             pride_id: compression_from_descriptor(
@@ -21,7 +21,7 @@ def bench_fig6b_compression(benchmark, emit_report):
             for pride_id in DATASET_ORDER
         }
 
-    reports = benchmark(compute)
+    reports = compute()
 
     rows = []
     for pride_id in DATASET_ORDER:

@@ -17,7 +17,7 @@ from repro.units import format_seconds
 TOOL_ORDER = ("hyperspec-dbscan", "hyperspec-hac", "mscrush", "gleams", "falcon")
 
 
-def bench_fig7_end_to_end_speedup(benchmark, emit_report):
+def bench_fig7_end_to_end_speedup(emit_report):
     def compute():
         table = {}
         for pride_id in DATASET_ORDER:
@@ -34,7 +34,7 @@ def bench_fig7_end_to_end_speedup(benchmark, emit_report):
             )
         return table
 
-    table = benchmark(compute)
+    table = compute()
 
     rows = []
     for pride_id in DATASET_ORDER:

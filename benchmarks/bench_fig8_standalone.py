@@ -21,7 +21,7 @@ PAPER_ANCHORS = {
 }
 
 
-def bench_fig8_standalone_clustering(benchmark, emit_report):
+def bench_fig8_standalone_clustering(emit_report):
     dataset = get_dataset("PXD000561")
 
     def compute():
@@ -31,7 +31,7 @@ def bench_fig8_standalone_clustering(benchmark, emit_report):
             times[name] = TOOL_MODELS[name].clustering_seconds(dataset)
         return times
 
-    times = benchmark(compute)
+    times = compute()
 
     rows = [
         [

@@ -23,7 +23,7 @@ PAPER = {
 }
 
 
-def bench_fig9_energy_efficiency(benchmark, emit_report):
+def bench_fig9_energy_efficiency(emit_report):
     dataset = get_dataset("PXD000561")
 
     def compute():
@@ -41,7 +41,7 @@ def bench_fig9_energy_efficiency(benchmark, emit_report):
             )
         return out
 
-    results = benchmark(compute)
+    results = compute()
 
     rows = []
     for tool_name in ("hyperspec-dbscan", "hyperspec-hac"):

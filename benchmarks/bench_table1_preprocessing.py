@@ -12,7 +12,7 @@ from repro.reporting import banner, format_table
 from repro.units import format_bytes
 
 
-def bench_table1_preprocessing(benchmark, emit_report):
+def bench_table1_preprocessing(emit_report):
     model = MSASModel()
 
     def run_all():
@@ -24,7 +24,7 @@ def bench_table1_preprocessing(benchmark, emit_report):
             for pride_id in DATASET_ORDER
         }
 
-    reports = benchmark(run_all)
+    reports = run_all()
 
     rows = []
     for pride_id in DATASET_ORDER:

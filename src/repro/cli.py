@@ -494,28 +494,45 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_info(args: argparse.Namespace) -> int:
     from collections import Counter
 
-    from .io import detect_format, read_spectra
-    from .spectrum import BucketingConfig, bucket_key, pairwise_work
+    from .io import SpectrumSource
+    from .io.mgf import READ_BATCH_SIZE
+    from .spectrum import (
+        BucketingConfig,
+        check_precursor_columns,
+        pairwise_work,
+        precursor_bucket_key,
+    )
 
-    format_name = detect_format(args.input)
+    source = SpectrumSource(args.input)
     # One streaming pass: counts, charge histogram and bucket sizes are
-    # all reducible, so the file is never materialised in memory.
+    # all reducible, so the file is never materialised in memory.  Each
+    # batch's precursors are checked the way the writer checks them, so
+    # an unbucketable row is refused with the row named from the start
+    # of the file.
     charges: Counter = Counter()
     bucket_sizes: Counter = Counter()
     bucketing = BucketingConfig()
     total = 0
     peak_min = peak_max = peak_sum = 0
-    for spectrum in read_spectra(args.input):
-        count = spectrum.peak_count
+    for _file_index, _batch_index, batch in source.iter_batches(
+        READ_BATCH_SIZE
+    ):
+        precursor_mz, charge = check_precursor_columns(
+            batch.precursor_mz, batch.charge, bucketing, first_row=total
+        )
+        counts = batch.counts
         if total == 0:
-            peak_min = peak_max = count
-        total += 1
-        charges[spectrum.precursor_charge] += 1
-        peak_min = min(peak_min, count)
-        peak_max = max(peak_max, count)
-        peak_sum += count
-        bucket_sizes[bucket_key(spectrum, bucketing)] += 1
-    print(f"format        : {format_name}")
+            peak_min = peak_max = int(counts[0])
+        total += len(batch)
+        charges.update(charge.tolist())
+        peak_min = min(peak_min, int(counts.min()))
+        peak_max = max(peak_max, int(counts.max()))
+        peak_sum += int(counts.sum())
+        bucket_sizes.update(
+            precursor_bucket_key(mz, ch, bucketing)
+            for mz, ch in zip(precursor_mz.tolist(), charge.tolist())
+        )
+    print(f"format        : {source.files[0].format}")
     print(f"spectra       : {total}")
     if total:
         print(

@@ -18,12 +18,17 @@ cycle counts for the same computation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 
 from ..errors import EncodingError
-from ..spectrum import MassSpectrum, QuantizerConfig, quantize_spectrum
+from ..spectrum import (
+    MassSpectrum,
+    QuantizerConfig,
+    SpectrumBatch,
+    quantize_spectrum,
+)
 from ..spectrum.quantize import quantize_intensity, quantize_mz
 from .bitops import (
     csa_accumulate,
@@ -183,12 +188,17 @@ class IDLevelEncoder:
             self._scratch_buffers[key] = buffer
         return buffer[:needed].reshape(shape)
 
-    def encode_batch(self, spectra: Sequence[MassSpectrum]) -> np.ndarray:
+    def encode_batch(
+        self, spectra: Union[SpectrumBatch, Sequence[MassSpectrum]]
+    ) -> np.ndarray:
         """Encode a batch; returns packed matrix ``(n, dim // 64)``.
 
-        Vectorised fast path, bit-identical to one :meth:`encode` call per
-        spectrum (:func:`repro.testing.oracles.encode_batch`) but roughly
-        an order of magnitude faster on realistic batches:
+        Reads a :class:`SpectrumBatch`'s peak counts and flat peak
+        columns (a sequence of spectra goes through
+        :meth:`SpectrumBatch.from_spectra` first).  Vectorised fast path,
+        bit-identical to one :meth:`encode` call per spectrum
+        (:func:`repro.testing.oracles.encode_batch`) but roughly an order
+        of magnitude faster on realistic batches:
 
         1. every peak of every spectrum is quantized in one shot;
         2. spectra are sorted by peak count and cut into chunks; each
@@ -203,39 +213,32 @@ class IDLevelEncoder:
            on the bit-planes (:func:`repro.hdc.bitops.planes_greater_than`),
            yielding the packed hypervectors without a final ``pack_bits``.
         """
-        if len(spectra) == 0:
+        batch = SpectrumBatch.from_spectra(spectra)
+        if len(batch) == 0:
             return np.zeros((0, self.words), dtype=np.uint64)
-        peak_counts = np.array(
-            [spectrum.peak_count for spectrum in spectra], dtype=np.int64
-        )
+        peak_counts = batch.counts
         empty = np.flatnonzero(peak_counts == 0)
         if empty.size:
             raise EncodingError(
                 "cannot encode empty spectrum "
-                f"{spectra[int(empty[0])].identifier!r}"
+                f"{batch.identifiers[int(empty[0])]!r}"
             )
-        id_indices = quantize_mz(
-            np.concatenate([spectrum.mz for spectrum in spectra]),
-            self._quantizer,
-        )
-        level_indices = quantize_intensity(
-            np.concatenate([spectrum.intensity for spectrum in spectra]),
-            self._quantizer,
-        )
+        id_indices = quantize_mz(batch.mz, self._quantizer)
+        level_indices = quantize_intensity(batch.intensity, self._quantizer)
         id_table, level_table = self._augmented_memories()
         id_sentinel = id_table.shape[0] - 1
         level_sentinel = level_table.shape[0] - 1
 
         words = self.words
-        total = int(peak_counts.sum())
-        starts = np.concatenate(([0], np.cumsum(peak_counts)))
+        total = int(batch.offsets[-1])
+        starts = batch.offsets
         # Descending peak count: each chunk's max count is its first entry
         # and sorting keeps padding waste small.
         order = np.argsort(-peak_counts, kind="stable")
-        encoded = np.empty((len(spectra), words), dtype=np.uint64)
+        encoded = np.empty((len(batch), words), dtype=np.uint64)
         thresholds = peak_counts // 2
         position = 0
-        while position < len(spectra):
+        while position < len(batch):
             count_max = int(peak_counts[order[position]])
             chunk = max(1, PEAK_CHUNK_BUDGET // count_max)
             selected = order[position : position + chunk]

@@ -6,21 +6,49 @@ whitespace-separated ``mz intensity`` peak lines.  This implementation is
 self-contained (no pyteomics) and tolerant of the common real-world quirks:
 charge suffixes (``2+``), multiple values in ``PEPMASS``, blank lines, and
 ``#`` comments.
+
+:func:`read_mgf_batches` parses straight into
+:class:`~repro.spectrum.SpectrumBatch` columns and streams: it holds at
+most one batch of text, cut after the ``END IONS`` line of the batch's
+last block.  Headers are parsed per block; the peak lines go through
+``np.array(text.split(), float64)`` a few blocks at a time, never one
+float at a time.  A batch that this fast path does not cover — comments
+or blank lines among the peaks, headers after peaks, peak lines without
+exactly two fields, or any error — is parsed again by
+:func:`_parse_lines`, the line-by-line loop, so such quirks are accepted
+and every error is reported (message and line number) as that loop
+reports it.  :func:`read_mgf` yields the rows of these batches, so there
+is one parser.
 """
 
 from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Union
+from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..errors import ParseError
-from ..spectrum import MassSpectrum
-from .compression import open_spectrum_text, safe_lines
+from ..errors import ConfigurationError, ParseError
+from ..spectrum import MassSpectrum, SpectrumBatch
+from .compression import DECOMPRESSION_ERRORS, open_spectrum_text
 
 PathOrFile = Union[str, Path, IO[str]]
+
+#: Spectra per batch when :func:`read_mgf` iterates rows.
+READ_BATCH_SIZE = 1024
+
+#: Characters read per call while a batch's blocks are gathered.
+_READ_CHARS = 1 << 20
+
+#: Blocks whose peak lines are split and converted together; bounds the
+#: transient token list (a few MiB) whatever the batch size.
+_TOKEN_BLOCKS = 16
+
+#: Header keys that become columns; the rest go into ``metadata``.
+_COLUMN_KEYS = ("TITLE", "PEPMASS", "CHARGE", "RTINSECONDS")
+
+_BlockFields = Tuple[str, float, int, Optional[float], dict]
 
 
 def _parse_charge(raw: str) -> int:
@@ -49,7 +77,8 @@ def _open_maybe(path_or_file: PathOrFile, mode: str) -> tuple[IO[str], bool]:
 def read_mgf(path_or_file: PathOrFile) -> Iterator[MassSpectrum]:
     """Iterate over the spectra in an MGF file.
 
-    Yields :class:`~repro.spectrum.MassSpectrum` objects; header keys other
+    Yields the rows of :func:`read_mgf_batches`' batches as
+    :class:`~repro.spectrum.MassSpectrum` objects; header keys other
     than TITLE/PEPMASS/CHARGE/RTINSECONDS are preserved in ``metadata``.
 
     Raises
@@ -58,88 +87,257 @@ def read_mgf(path_or_file: PathOrFile) -> Iterator[MassSpectrum]:
         On malformed blocks (peak line outside a block, missing PEPMASS,
         unterminated block, unparseable numbers).
     """
+    for batch in read_mgf_batches(path_or_file, READ_BATCH_SIZE):
+        yield from batch
+
+
+def read_mgf_batches(
+    path_or_file: PathOrFile, batch_size: int = READ_BATCH_SIZE
+) -> Iterator[SpectrumBatch]:
+    """Parse an MGF file into batches of at most ``batch_size`` spectra."""
+    if batch_size < 1:
+        raise ConfigurationError("batch_size must be >= 1")
     handle, should_close = _open_maybe(path_or_file, "r")
     path_name = getattr(handle, "name", "<stream>")
     try:
-        in_block = False
-        headers: dict[str, str] = {}
-        mz_values: List[float] = []
-        intensity_values: List[float] = []
-        spectrum_ordinal = 0
-
-        for line_number, raw_line in enumerate(
-            safe_lines(handle, path_name), start=1
-        ):
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line == "BEGIN IONS":
-                if in_block:
-                    raise ParseError(
-                        "nested BEGIN IONS", path_name, line_number
+        first_line = 1
+        ordinal = 0
+        for text, ends in _batch_texts(handle, path_name, batch_size):
+            batch = _parse_fast(text, ends, ordinal, path_name)
+            if batch is None:
+                batch = SpectrumBatch.from_spectra(
+                    _parse_lines(
+                        text.split("\n"), path_name, first_line, ordinal
                     )
-                in_block = True
-                headers = {}
-                mz_values = []
-                intensity_values = []
-                continue
-            if line == "END IONS":
-                if not in_block:
-                    raise ParseError(
-                        "END IONS without BEGIN IONS", path_name, line_number
-                    )
-                yield _block_to_spectrum(
-                    headers,
-                    mz_values,
-                    intensity_values,
-                    spectrum_ordinal,
-                    path_name,
-                    line_number,
                 )
-                spectrum_ordinal += 1
-                in_block = False
-                continue
-            if not in_block:
-                # Permit global headers (e.g. COM=, ITOL=) outside blocks.
-                if "=" in line:
-                    continue
-                raise ParseError(
-                    f"unexpected content outside block: {line!r}",
-                    path_name,
-                    line_number,
-                )
-            if "=" in line and not line[0].isdigit():
-                key, _, value = line.partition("=")
-                headers[key.strip().upper()] = value.strip()
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ParseError(
-                    f"malformed peak line {line!r}", path_name, line_number
-                )
-            try:
-                mz_values.append(float(parts[0]))
-                intensity_values.append(float(parts[1]))
-            except ValueError as exc:
-                raise ParseError(
-                    f"non-numeric peak line {line!r}", path_name, line_number
-                ) from exc
-
-        if in_block:
-            raise ParseError("unterminated BEGIN IONS block", path_name, 0)
+            first_line += text.count("\n")
+            ordinal += len(batch)
+            if len(batch):
+                yield batch
     finally:
         if should_close:
             handle.close()
 
 
-def _block_to_spectrum(
-    headers: dict[str, str],
-    mz_values: List[float],
-    intensity_values: List[float],
-    ordinal: int,
-    path_name: str,
-    line_number: int,
-) -> MassSpectrum:
+def _batch_texts(
+    handle: IO[str], path_name: str, batch_size: int
+) -> Iterator[Tuple[str, List[int]]]:
+    """``(text, ends)``: the file cut after every ``batch_size``-th block.
+
+    ``ends`` holds the offset in ``text`` of each ``END IONS`` line (one
+    whose stripped text is exactly that).  The last text is what follows
+    the last full batch; it may hold fewer blocks, or an unterminated one.
+    """
+    buffer = ""
+    ends: List[int] = []
+    scan = 0
+    exhausted = False
+    while True:
+        found = buffer.find("END IONS", scan)
+        if found < 0 or (buffer.find("\n", found) < 0 and not exhausted):
+            if exhausted:
+                break
+            try:
+                chunk = handle.read(_READ_CHARS)
+            except DECOMPRESSION_ERRORS as exc:
+                raise ParseError(
+                    f"cannot read input stream: {exc}", path_name
+                ) from exc
+            exhausted = not chunk
+            if found < 0:
+                # A marker split across two reads starts in the last 7.
+                scan = max(scan, len(buffer) - 7)
+            buffer += chunk
+            continue
+        line_start = buffer.rfind("\n", 0, found) + 1
+        line_end = buffer.find("\n", found)
+        if line_end < 0:
+            line_end = len(buffer)
+        scan = found + 8
+        if buffer[line_start:line_end].strip() != "END IONS":
+            continue
+        ends.append(line_start)
+        if len(ends) == batch_size:
+            cut = line_end + 1
+            yield buffer[:cut], ends
+            buffer, ends, scan = buffer[cut:], [], 0
+    if buffer:
+        yield buffer, ends
+
+
+def _outside_blocks(text: str) -> bool:
+    """Whether ``text`` holds only what may sit between blocks: blank
+    lines, ``#`` comments and global ``KEY=VALUE`` headers."""
+    if not text.strip():
+        return True
+    for line in text.split("\n"):
+        line = line.strip()
+        if line and not line.startswith("#") and "=" not in line:
+            return False
+    return True
+
+
+def _parse_fast(
+    text: str, ends: List[int], ordinal: int, path_name: str
+) -> Optional[SpectrumBatch]:
+    """The batch of ``text``'s blocks, or ``None`` if the fast path does
+    not cover it (then :func:`_parse_lines` decides)."""
+    # (header start, peak-line start, END IONS line start) per block.
+    spans: List[Tuple[int, int, int]] = []
+    start = 0
+    for end in ends:
+        begin = text.find("BEGIN IONS", start, end)
+        if begin < 0:
+            return None
+        begin_line = text.rfind("\n", start, begin) + 1 or start
+        body = text.find("\n", begin, end) + 1
+        if not body or text[begin_line:body].strip() != "BEGIN IONS":
+            return None
+        if not _outside_blocks(text[start:begin_line]):
+            return None
+        # Headers run up to the line of the block's last '='; every
+        # line from there to END IONS must be a peak line.
+        last_equals = text.rfind("=", body, end)
+        peaks = body if last_equals < 0 else text.find("\n", last_equals) + 1
+        if text.find("#", peaks, end) >= 0:
+            return None
+        spans.append((body, peaks, end))
+        start = text.find("\n", end) + 1 or len(text)
+    if not _outside_blocks(text[start:]):
+        return None
+    # Peak columns first: the token lists are freed before any per-row
+    # object is kept, so their memory is reused rather than retained.
+    counts = [text.count("\n", peaks, end) for _, peaks, end in spans]
+    columns = []
+    for first in range(0, len(spans), _TOKEN_BLOCKS):
+        group = spans[first : first + _TOKEN_BLOCKS]
+        lines = sum(counts[first : first + _TOKEN_BLOCKS])
+        # Each line's two fields plus a ';' marker: a line with any other
+        # number of fields shifts the markers out of every third slot.
+        tokens = (
+            "".join([text[peaks:end] for _, peaks, end in group])
+            .replace("\n", " ; ")
+            .split()
+        )
+        if len(tokens) != 3 * lines or tokens[2::3].count(";") != lines:
+            return None
+        try:
+            columns.append(
+                (
+                    np.array(tokens[0::3], dtype=np.float64),
+                    np.array(tokens[1::3], dtype=np.float64),
+                )
+            )
+        except ValueError:
+            return None
+    rows: List[_BlockFields] = []
+    for body, peaks, _ in spans:
+        headers: dict[str, str] = {}
+        for line in text[body:peaks].split("\n"):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line or line[0].isdigit():
+                return None
+            key, _, value = line.partition("=")
+            headers[key.strip().upper()] = value.strip()
+        try:
+            rows.append(
+                _block_fields(headers, ordinal + len(rows), path_name, 0)
+            )
+        except (ParseError, IndexError):
+            return None
+    mz_parts, intensity_parts = zip(*columns) if columns else ((), ())
+    identifiers, precursor_mz, charge, retention_time, metadata = (
+        zip(*rows) if rows else ((),) * 5
+    )
+    return SpectrumBatch(
+        counts,
+        np.concatenate((np.empty(0),) + mz_parts),
+        np.concatenate((np.empty(0),) + intensity_parts),
+        precursor_mz,
+        charge,
+        identifiers,
+        retention_time,
+        metadata,
+    )
+
+
+def _parse_lines(
+    lines: Iterable[str], path_name: str, first_line: int, ordinal: int
+) -> Iterator[MassSpectrum]:
+    """The line-by-line loop over MGF text, ``first_line`` numbering the
+    first of ``lines``; the reference for every message and line number
+    :class:`ParseError` carries."""
+    in_block = False
+    headers: dict[str, str] = {}
+    mz_values: List[float] = []
+    intensity_values: List[float] = []
+    for line_number, raw_line in enumerate(lines, start=first_line):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line == "BEGIN IONS":
+            if in_block:
+                raise ParseError("nested BEGIN IONS", path_name, line_number)
+            in_block = True
+            headers = {}
+            mz_values = []
+            intensity_values = []
+            continue
+        if line == "END IONS":
+            if not in_block:
+                raise ParseError(
+                    "END IONS without BEGIN IONS", path_name, line_number
+                )
+            identifier, precursor_mz, charge, retention_time, metadata = (
+                _block_fields(headers, ordinal, path_name, line_number)
+            )
+            yield MassSpectrum(
+                identifier=identifier,
+                precursor_mz=precursor_mz,
+                precursor_charge=charge,
+                mz=np.array(mz_values, dtype=np.float64),
+                intensity=np.array(intensity_values, dtype=np.float64),
+                retention_time=retention_time,
+                metadata=metadata,
+            )
+            ordinal += 1
+            in_block = False
+            continue
+        if not in_block:
+            # Permit global headers (e.g. COM=, ITOL=) outside blocks.
+            if "=" in line:
+                continue
+            raise ParseError(
+                f"unexpected content outside block: {line!r}",
+                path_name,
+                line_number,
+            )
+        if "=" in line and not line[0].isdigit():
+            key, _, value = line.partition("=")
+            headers[key.strip().upper()] = value.strip()
+            continue
+        parts = line.split()
+        if len(parts) < 2:
+            raise ParseError(
+                f"malformed peak line {line!r}", path_name, line_number
+            )
+        try:
+            mz_values.append(float(parts[0]))
+            intensity_values.append(float(parts[1]))
+        except ValueError as exc:
+            raise ParseError(
+                f"non-numeric peak line {line!r}", path_name, line_number
+            ) from exc
+    if in_block:
+        raise ParseError("unterminated BEGIN IONS block", path_name, 0)
+
+
+def _block_fields(
+    headers: dict[str, str], ordinal: int, path_name: str, line_number: int
+) -> _BlockFields:
+    """``(identifier, precursor m/z, charge, RT, metadata)`` of a block."""
     if "PEPMASS" not in headers:
         raise ParseError("block missing PEPMASS", path_name, line_number)
     try:
@@ -170,17 +368,9 @@ def _block_to_spectrum(
     metadata = {
         key.lower(): value
         for key, value in headers.items()
-        if key not in ("TITLE", "PEPMASS", "CHARGE", "RTINSECONDS")
+        if key not in _COLUMN_KEYS
     }
-    return MassSpectrum(
-        identifier=identifier,
-        precursor_mz=precursor_mz,
-        precursor_charge=abs(charge),
-        mz=np.array(mz_values, dtype=np.float64),
-        intensity=np.array(intensity_values, dtype=np.float64),
-        retention_time=retention_time,
-        metadata=metadata,
-    )
+    return identifier, precursor_mz, abs(charge), retention_time, metadata
 
 
 def write_mgf(

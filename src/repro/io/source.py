@@ -17,9 +17,9 @@ from pathlib import Path
 from typing import Iterator, List, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError, ParseError
-from ..spectrum import MassSpectrum
+from ..spectrum import MassSpectrum, SpectrumBatch
 from .detect import detect_format
-from .mgf import read_mgf
+from .mgf import read_mgf, read_mgf_batches
 from .ms2 import read_ms2
 from .mzml import read_mzml
 from .mzxml import read_mzxml
@@ -49,18 +49,26 @@ class SpectrumFile:
             )
         return reader(str(self.path))
 
-    def read_batches(self, batch_size: int) -> Iterator[List[MassSpectrum]]:
-        """Parse the file into batches of at most ``batch_size`` spectra."""
+    def read_batches(self, batch_size: int) -> Iterator[SpectrumBatch]:
+        """Parse the file into batches of at most ``batch_size`` spectra.
+
+        MGF parses straight into columns (:func:`read_mgf_batches`); the
+        other readers build rows, which :meth:`SpectrumBatch.from_spectra`
+        turns into columns per batch.
+        """
         if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        batch: List[MassSpectrum] = []
+        if self.format == "mgf":
+            yield from read_mgf_batches(str(self.path), batch_size)
+            return
+        rows: List[MassSpectrum] = []
         for spectrum in self.read():
-            batch.append(spectrum)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
+            rows.append(spectrum)
+            if len(rows) >= batch_size:
+                yield SpectrumBatch.from_spectra(rows)
+                rows = []
+        if rows:
+            yield SpectrumBatch.from_spectra(rows)
 
 
 class SpectrumSource:
@@ -90,7 +98,7 @@ class SpectrumSource:
 
     def iter_batches(
         self, batch_size: int
-    ) -> Iterator[Tuple[int, int, List[MassSpectrum]]]:
+    ) -> Iterator[Tuple[int, int, SpectrumBatch]]:
         """``(file_index, batch_index, spectra)`` batches in plan order.
 
         Batches never span files — the boundary rule both the sequential

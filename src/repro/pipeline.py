@@ -43,8 +43,9 @@ from .spectrum import (
     BucketingConfig,
     MassSpectrum,
     PreprocessingConfig,
+    SpectrumBatch,
     partition_spectra,
-    preprocess_spectrum,
+    preprocess_batch,
 )
 
 
@@ -111,11 +112,16 @@ class HardwareReport:
 
 @dataclass
 class SpecHDResult:
-    """Everything a pipeline run produces."""
+    """Everything a pipeline run produces.
+
+    ``spectra`` holds the preprocessed spectra that survived QC, in
+    ``labels`` order: a :class:`SpectrumBatch`, whose ``spectra[i]`` is
+    row ``i``'s :class:`MassSpectrum`.
+    """
 
     labels: np.ndarray
     kept_indices: List[int]
-    spectra: List[MassSpectrum]
+    spectra: Sequence[MassSpectrum]
     hypervectors: np.ndarray
     bucket_keys: Dict[Tuple[int, int], List[int]]
     medoids: Dict[int, int]
@@ -234,7 +240,7 @@ class SpecHDPipeline:
 
         config = self.config
         source = SpectrumSource(paths)
-        kept: List[MassSpectrum] = []
+        kept: List[SpectrumBatch] = []
         kept_indices: List[int] = []
         vector_parts: List[np.ndarray] = []
         file_base = 0
@@ -255,11 +261,9 @@ class SpecHDPipeline:
                 file_raw_total = 0
                 current_file = batch.file_index
             file_raw_total = batch.raw_start + batch.raw_count
-            kept.extend(batch.spectra)
+            kept.append(batch.spectra)
             batch_base = file_base + batch.raw_start
-            kept_indices.extend(
-                int(batch_base + offset) for offset in batch.kept_offsets
-            )
+            kept_indices.extend((batch_base + batch.kept_offsets).tolist())
             vector_parts.append(batch.vectors)
         hypervectors = (
             np.vstack(vector_parts)
@@ -267,8 +271,20 @@ class SpecHDPipeline:
             else np.zeros((0, config.encoder.dim // 64), dtype=np.uint64)
         )
         return self._run_preprocessed(
-            kept, kept_indices, hypervectors=hypervectors
+            SpectrumBatch.concat(kept), kept_indices, hypervectors=hypervectors
         )
+
+    def _encode(self, kept: SpectrumBatch) -> np.ndarray:
+        """Encode in ``encode_batch_size`` slices, the FPGA's burst
+        dataflow, which bounds encoder scratch memory for large runs."""
+        size = self.config.encode_batch_size
+        parts = [
+            self.encoder.encode_batch(kept[start : start + size])
+            for start in range(0, len(kept), size)
+        ]
+        if not parts:
+            return np.zeros((0, self.encoder.words), dtype=np.uint64)
+        return np.vstack(parts)
 
     def encode_only(self, spectra: Sequence[MassSpectrum]):
         """Preprocess + encode without clustering; returns a store.
@@ -281,26 +297,10 @@ class SpecHDPipeline:
         """
         from .io.hvstore import HypervectorStore
 
-        kept: List[MassSpectrum] = []
-        for spectrum in spectra:
-            processed = preprocess_spectrum(spectrum, self.config.preprocessing)
-            if processed is not None:
-                kept.append(processed)
-        if kept:
-            vectors = np.vstack(
-                list(
-                    self.encoder.encode_stream(
-                        kept, batch_size=self.config.encode_batch_size
-                    )
-                )
-            )
-        else:
-            vectors = np.zeros(
-                (0, self.config.encoder.dim // 64), dtype=np.uint64
-            )
+        kept, _ = preprocess_batch(spectra, self.config.preprocessing)
         return HypervectorStore.from_encoding(
             kept,
-            vectors,
+            self._encode(kept),
             dim=self.config.encoder.dim,
             encoder_seed=self.config.encoder.seed,
         )
@@ -308,23 +308,19 @@ class SpecHDPipeline:
     def run(self, spectra: Sequence[MassSpectrum]) -> SpecHDResult:
         """Run the full pipeline over in-memory spectra.
 
-        Stages: per-spectrum preprocessing (drops QC failures), precursor
+        Stages: column preprocessing (drops QC failures), precursor
         bucketing (Eq. 1), ID-Level encoding (Eq. 2), per-bucket Hamming
         distance matrices, per-bucket NN-chain HAC with the configured
         linkage cut at ``cluster_threshold``, and medoid selection.
         """
-        kept: List[MassSpectrum] = []
-        kept_indices: List[int] = []
-        for index, spectrum in enumerate(spectra):
-            processed = preprocess_spectrum(spectrum, self.config.preprocessing)
-            if processed is not None:
-                kept.append(processed)
-                kept_indices.append(index)
-        return self._run_preprocessed(kept, kept_indices)
+        kept, kept_offsets = preprocess_batch(
+            spectra, self.config.preprocessing
+        )
+        return self._run_preprocessed(kept, kept_offsets.tolist())
 
     def _run_preprocessed(
         self,
-        kept: List[MassSpectrum],
+        kept: SpectrumBatch,
         kept_indices: List[int],
         hypervectors: Optional[np.ndarray] = None,
     ) -> SpecHDResult:
@@ -340,11 +336,11 @@ class SpecHDPipeline:
             clock_hz=config.clock_hz,
             num_cluster_kernels=config.num_cluster_kernels,
         )
-        if not kept:
+        if not len(kept):
             return SpecHDResult(
                 labels=np.zeros(0, dtype=np.int64),
                 kept_indices=[],
-                spectra=[],
+                spectra=kept,
                 hypervectors=np.zeros(
                     (0, config.encoder.dim // 64), dtype=np.uint64
                 ),
@@ -357,19 +353,10 @@ class SpecHDPipeline:
 
         buckets = partition_spectra(kept, config.bucketing)
         if hypervectors is None:
-            # Stream encode batches (fast vectorised path) rather than one
-            # monolithic call, mirroring the FPGA's burst dataflow and
-            # bounding encoder scratch memory for very large runs.
-            hypervectors = np.vstack(
-                list(
-                    self.encoder.encode_stream(
-                        kept, batch_size=config.encode_batch_size
-                    )
-                )
-            )
+            hypervectors = self._encode(kept)
         else:
             hypervectors = np.asarray(hypervectors, dtype=np.uint64)
-        average_peaks = float(np.mean([s.peak_count for s in kept]))
+        average_peaks = float(np.mean(kept.counts))
         hardware.encoder_cycles = encoder_cycles(
             len(kept), average_peaks, config.encoder.dim
         )

@@ -62,7 +62,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import ProtocolError, ServiceError
-from ..spectrum import MassSpectrum
+from ..spectrum import MassSpectrum, SpectrumBatch
 from ..store.matches import (
     FLOAT_FIELDS,
     INT_FIELDS,
@@ -515,52 +515,51 @@ def extract_chunk(message: dict, field: str = "data") -> memoryview:
 
 
 def attach_spectra(
-    message: dict, spectra: Sequence[MassSpectrum], field: str = "spectra"
+    message: dict,
+    spectra: Union[SpectrumBatch, Sequence[MassSpectrum]],
+    field: str = "spectra",
 ) -> dict:
     """Attach a spectrum batch: JSON header records + binary peak arrays.
 
     ``message[field]`` gets one ``{id, pm, ch[, rt][, meta]}`` record
-    per spectrum; the peaks ride as two concatenated float64 payloads
-    plus a per-spectrum peak-count payload.
+    per spectrum; the peaks ride as the batch's two flat float64 columns
+    plus its per-spectrum peak-count column.
     """
+    batch = SpectrumBatch.from_spectra(spectra)
     records = []
-    counts = np.empty(len(spectra), dtype="<i8")
-    for index, spectrum in enumerate(spectra):
-        record = {
-            "id": spectrum.identifier,
-            "pm": spectrum.precursor_mz,
-            "ch": spectrum.precursor_charge,
-        }
-        if spectrum.retention_time is not None:
-            record["rt"] = spectrum.retention_time
-        if spectrum.metadata:
-            record["meta"] = spectrum.metadata
+    for identifier, precursor_mz, charge, retention_time, metadata in zip(
+        batch.identifiers,
+        batch.precursor_mz.tolist(),
+        batch.charge.tolist(),
+        batch.retention_time,
+        batch.metadata,
+    ):
+        record = {"id": identifier, "pm": precursor_mz, "ch": charge}
+        if retention_time is not None:
+            record["rt"] = retention_time
+        if metadata:
+            record["meta"] = metadata
         records.append(record)
-        counts[index] = len(spectrum.mz)
-    if spectra:
-        mz = np.ascontiguousarray(
-            np.concatenate([s.mz for s in spectra]), dtype="<f8"
-        )
-        intensity = np.ascontiguousarray(
-            np.concatenate([s.intensity for s in spectra]), dtype="<f8"
-        )
-    else:
-        mz = np.empty(0, dtype="<f8")
-        intensity = np.empty(0, dtype="<f8")
     message[field] = records
-    _attach(message, f"{field}.n", "<i8", counts)
-    _attach(message, f"{field}.mz", "<f8", mz)
-    _attach(message, f"{field}.it", "<f8", intensity)
+    for suffix, dtype, column in (
+        ("n", "<i8", batch.counts),
+        ("mz", "<f8", batch.mz),
+        ("it", "<f8", batch.intensity),
+    ):
+        _attach(
+            message,
+            f"{field}.{suffix}",
+            dtype,
+            np.ascontiguousarray(column, dtype=dtype),
+        )
     return message
 
 
-def extract_spectra(
-    message: dict, field: str = "spectra"
-) -> List[MassSpectrum]:
+def extract_spectra(message: dict, field: str = "spectra") -> SpectrumBatch:
     """The spectrum batch of ``field``.
 
-    The peak arrays are zero-copy float64 views into the receive buffer
-    (sliced per spectrum).
+    Its peak columns are zero-copy float64 views into the receive buffer
+    (copied only if a row's peaks arrive out of m/z order).
     """
     counts = _payload(message, f"{field}.n", "<i8")
     mz = _payload(message, f"{field}.mz", "<f8")
@@ -577,25 +576,35 @@ def extract_spectra(
         raise ProtocolError(
             f"spectrum peak payloads do not match counts in {field!r}"
         )
-    spectra = []
-    offset = 0
     try:
-        for record, count in zip(records, counts.tolist()):
-            spectra.append(
-                MassSpectrum(
-                    identifier=record["id"],
-                    precursor_mz=record["pm"],
-                    precursor_charge=record["ch"],
-                    mz=mz[offset : offset + count],
-                    intensity=intensity[offset : offset + count],
-                    retention_time=record.get("rt"),
-                    metadata=dict(record.get("meta", {})),
-                )
-            )
-            offset += count
+        precursor_mz = [_number(record["pm"]) for record in records]
+        charge = [_integer(record["ch"]) for record in records]
+        return SpectrumBatch(
+            counts,
+            mz,
+            intensity,
+            precursor_mz,
+            charge,
+            [record["id"] for record in records],
+            [record.get("rt") for record in records],
+            [dict(record.get("meta", {})) for record in records],
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ServiceError(f"malformed spectrum record: {exc}") from exc
-    return spectra
+
+
+def _number(value) -> float:
+    """A JSON number field (``bool`` and strings are not numbers)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def _integer(value) -> int:
+    """A JSON integer field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 #: ``(suffix, dtype, ndim)`` of the five ``matches`` payloads, in

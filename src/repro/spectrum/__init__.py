@@ -1,11 +1,8 @@
 """Spectrum substrate: data structures, preprocessing, quantization, bucketing."""
 
-from .spectrum import MassSpectrum
+from .spectrum import MassSpectrum, SpectrumBatch
 from .preprocess import (
     PreprocessingConfig,
-    filter_peaks,
-    select_top_k,
-    scale_and_normalize,
     preprocess_spectrum,
     preprocess_batch,
     preprocessing_survival_rate,
@@ -45,10 +42,8 @@ from .similarity import (
 
 __all__ = [
     "MassSpectrum",
+    "SpectrumBatch",
     "PreprocessingConfig",
-    "filter_peaks",
-    "select_top_k",
-    "scale_and_normalize",
     "preprocess_spectrum",
     "preprocess_batch",
     "preprocessing_survival_rate",

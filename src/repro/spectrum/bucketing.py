@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..units import PAPER_CHARGE_MASS
-from .spectrum import MassSpectrum
+from .spectrum import MassSpectrum, SpectrumBatch
 
 #: The paper states resolution ranges from 0.05 (high-res instruments) to 1.0.
 MIN_RESOLUTION = 0.05
@@ -96,13 +96,16 @@ def check_precursor_columns(
     precursor_mz: Sequence[float],
     charge: Sequence[int],
     config: BucketingConfig = BucketingConfig(),
+    *,
+    first_row: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Precursor columns as float64 m/z and int16 charge, every row bucketable.
 
     Raises :class:`ConfigurationError` naming the first row whose m/z is
     not positive and finite, whose charge is outside ``[1, 32767]`` (the
     int16 the hypervector store persists) or whose Eq. 1 quotient
-    overflows.
+    overflows.  Rows are numbered from ``first_row``, so a caller that
+    checks a stream batch by batch can name rows from the stream's start.
     """
     mz = np.asarray(precursor_mz, dtype=np.float64).reshape(-1)
     wide = np.asarray(charge, dtype=np.int64).reshape(-1)
@@ -113,14 +116,14 @@ def check_precursor_columns(
     if bad.any():
         row = int(np.argmax(bad))
         raise ConfigurationError(
-            f"row {row}: precursor m/z {float(mz[row])} with charge "
-            f"{int(wide[row])} cannot be bucketed"
+            f"row {first_row + row}: precursor m/z {float(mz[row])} with "
+            f"charge {int(wide[row])} cannot be bucketed"
         )
     return mz, wide.astype(np.int16)
 
 
 def partition_spectra(
-    spectra: Iterable[MassSpectrum],
+    spectra: Union[SpectrumBatch, Iterable[MassSpectrum]],
     config: BucketingConfig = BucketingConfig(),
 ) -> Dict[Tuple[int, int], List[int]]:
     """Partition spectra into buckets.
@@ -128,16 +131,21 @@ def partition_spectra(
     Returns a mapping from bucket key to the list of *positions* of member
     spectra in the input order.  Positions (not objects) are returned so the
     caller can slice parallel arrays (e.g. the encoded hypervector matrix).
-    The precursor columns go through :func:`check_precursor_columns` first,
-    so a row the repository writer would refuse is refused here too, with
-    the same :class:`ConfigurationError`.
+    A :class:`SpectrumBatch` is read through its precursor columns; any
+    other iterable of spectra through each spectrum's fields.  The
+    columns go through :func:`check_precursor_columns` first, so a row
+    the repository writer would refuse is refused here too, with the
+    same :class:`ConfigurationError`.
     """
-    spectra = list(spectra)
-    precursor_mz, charge = check_precursor_columns(
-        [spectrum.precursor_mz for spectrum in spectra],
-        [spectrum.precursor_charge for spectrum in spectra],
-        config,
-    )
+    if isinstance(spectra, SpectrumBatch):
+        columns = (spectra.precursor_mz, spectra.charge)
+    else:
+        spectra = list(spectra)
+        columns = (
+            [spectrum.precursor_mz for spectrum in spectra],
+            [spectrum.precursor_charge for spectrum in spectra],
+        )
+    precursor_mz, charge = check_precursor_columns(*columns, config)
     buckets: Dict[Tuple[int, int], List[int]] = defaultdict(list)
     for position, (mz, ch) in enumerate(
         zip(precursor_mz.tolist(), charge.tolist())

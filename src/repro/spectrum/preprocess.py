@@ -3,28 +3,32 @@
 The paper's near-storage preprocessing module is a fixed three-stage
 pipeline (§III-A):
 
-1. **Spectra Filter** — remove peaks near the precursor ion and peaks whose
-   intensity is below 1 % of the base peak.
+1. **Spectra Filter** — remove peaks outside the m/z window, peaks near
+   the precursor ion and peaks whose intensity is below 1 % of the base
+   peak.
 2. **Top-k Selector** — keep only the ``k`` most intense peaks (realised on
    the FPGA with a bitonic sorting network; see :mod:`repro.fpga.bitonic`).
 3. **Scale and Normalization** — intensity scaling (square-root by default,
    which is the standard variance-stabilising transform for ion counts)
    followed by L2 normalisation.
 
-This module implements the same stages in NumPy so that the algorithmic
-behaviour can be tested and reused by both the software pipeline and the
-hardware model (which consumes the *operation counts* these functions report).
+:func:`preprocess_batch` runs all three on a :class:`SpectrumBatch` as
+masked operations over its flat peak columns, so no per-spectrum object
+is built between the parser and the encoder; :func:`preprocess_spectrum`
+is its one-row case.  The per-spectrum stage functions the column code
+reproduces bit for bit live in :mod:`repro.testing.oracles`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .spectrum import MassSpectrum
+from ..units import PROTON_MASS
+from .spectrum import MassSpectrum, SpectrumBatch, _ramp
 
 #: Paper default: drop peaks below 1 % of the base-peak intensity.
 DEFAULT_MIN_INTENSITY_FRACTION = 0.01
@@ -82,81 +86,111 @@ class PreprocessingConfig:
             )
 
 
-def filter_peaks(
-    spectrum: MassSpectrum, config: PreprocessingConfig
-) -> MassSpectrum:
-    """Stage 1 — the Spectra Filter.
+def preprocess_batch(
+    spectra: Union[SpectrumBatch, Iterable[MassSpectrum]],
+    config: PreprocessingConfig = PreprocessingConfig(),
+) -> Tuple[SpectrumBatch, np.ndarray]:
+    """Run the three stages on every row of a batch at once.
 
-    Removes peaks (a) outside the configured m/z window, (b) within
-    ``precursor_tolerance_da`` of any precursor-ion m/z (all charge
-    reductions of the precursor are considered), and (c) below
-    ``min_intensity_fraction`` of the base peak.
+    Returns ``(kept, kept_offsets)``: the rows that pass quality control
+    (at least ``config.min_peaks`` peaks survive the filter), with their
+    selected and scaled peaks, and their int64 positions in the input.
+
+    * Filter: the m/z window, then the precursor window at every charge
+      ``1..c`` of a charge-``c`` precursor, then the base-peak threshold
+      (a ``np.maximum.reduceat`` over each row's unfiltered peaks).
+    * Top-k: a row with more than ``k`` surviving peaks keeps its ``k``
+      most intense in m/z order.  Peaks that tie in intensity at the cut
+      are kept by position: the lower position (lower m/z) wins.
+    * Scale: ``sqrt`` / ``rank`` / ``none``, then each row divided by its
+      L2 norm, taken per row with :func:`numpy.dot` so that the norm is
+      the same float as ``np.linalg.norm`` of the row.
     """
-    mz = spectrum.mz
-    intensity = spectrum.intensity
+    batch = SpectrumBatch.from_spectra(spectra)
+    mz, intensity, offsets = batch.mz, batch.intensity, batch.offsets
+    peak_rows = batch.peak_rows()
+
     keep = (mz >= config.min_mz) & (mz <= config.max_mz)
+    # A charge-c precursor also shows up at charges 1..c after charge
+    # reduction in the collision cell; each window only tests the peaks
+    # of rows whose charge reaches it.  An unbucketable precursor (inf,
+    # NaN) runs through silently, as the per-spectrum float arithmetic
+    # did.
+    charge = batch.charge
+    peak_charge = charge[peak_rows]
+    live = np.arange(mz.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        neutral = batch.precursor_mz * charge - charge * PROTON_MASS
+        for reduced in range(1, int(charge.max(initial=0)) + 1):
+            live = live[peak_charge[live] >= reduced]
+            if not live.size:
+                break
+            window = (neutral + reduced * PROTON_MASS) / reduced
+            keep[live] &= (
+                np.abs(mz[live] - window[peak_rows[live]])
+                > config.precursor_tolerance_da
+            )
+    nonempty = batch.counts > 0
+    base_peak = np.zeros(len(batch))
+    if mz.size:
+        base_peak[nonempty] = np.maximum.reduceat(
+            intensity, offsets[:-1][nonempty]
+        )
+    threshold = config.min_intensity_fraction * base_peak
+    keep &= intensity >= threshold[peak_rows]
 
-    # Remove the precursor ion signal at every reduced charge state: a
-    # precursor of charge c appears at m/z values corresponding to charges
-    # 1..c after charge reduction in the collision cell.
-    neutral = spectrum.neutral_mass
-    from ..units import PROTON_MASS
+    survivors = np.bincount(peak_rows[keep], minlength=len(batch))
+    passed = survivors >= config.min_peaks
+    keep &= passed[peak_rows]
+    over = passed & (survivors > config.top_k)
+    if over.any():
+        candidates = np.flatnonzero(keep & over[peak_rows])
+        # Row-major, most intense first; lexsort is stable, so equal
+        # intensities stay in position order and the lower position wins
+        # a tie at the cut.
+        ranked = candidates[
+            np.lexsort((-intensity[candidates], peak_rows[candidates]))
+        ]
+        keep[ranked[_ramp(survivors[over]) >= config.top_k]] = False
 
-    for charge in range(1, spectrum.precursor_charge + 1):
-        precursor_mz_at_charge = (neutral + charge * PROTON_MASS) / charge
-        keep &= np.abs(mz - precursor_mz_at_charge) > config.precursor_tolerance_da
+    kept_offsets = np.flatnonzero(passed)
+    counts = np.minimum(survivors, config.top_k)[kept_offsets]
+    selected = np.flatnonzero(keep)
+    scaled = _scale(intensity[selected], counts, config.scaling)
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+    norms = np.empty(counts.size)
+    for row in range(counts.size):
+        segment = scaled[bounds[row] : bounds[row + 1]]
+        norms[row] = np.dot(segment, segment)
+    norms = np.repeat(np.sqrt(norms), counts)
+    np.divide(scaled, norms, out=scaled, where=norms > 0)
 
-    if intensity.size:
-        threshold = config.min_intensity_fraction * spectrum.base_peak_intensity
-        keep &= intensity >= threshold
-
-    return spectrum.with_peaks(mz[keep], intensity[keep])
-
-
-def select_top_k(spectrum: MassSpectrum, k: int) -> MassSpectrum:
-    """Stage 2 — the Top-k Selector.
-
-    Keeps the ``k`` most intense peaks, preserving m/z order.  This is the
-    software-equivalent of the FPGA's bitonic-sort based selector: the
-    hardware sorts by intensity and truncates; re-sorting the survivors by
-    m/z is free because downstream stages consume m/z-major streams.
-    """
-    if k < 1:
-        raise ConfigurationError(f"top_k must be >= 1, got {k}")
-    if spectrum.peak_count <= k:
-        return spectrum.copy()
-    # argpartition is the O(n) analogue of the truncated bitonic sort.
-    top_indices = np.argpartition(spectrum.intensity, -k)[-k:]
-    top_indices.sort()
-    return spectrum.with_peaks(
-        spectrum.mz[top_indices], spectrum.intensity[top_indices]
+    rows = kept_offsets.tolist()
+    kept = SpectrumBatch._trusted(
+        counts,
+        mz[selected],
+        scaled,
+        batch.precursor_mz[kept_offsets],
+        charge[kept_offsets],
+        [batch.identifiers[row] for row in rows],
+        [batch.retention_time[row] for row in rows],
+        [batch.metadata[row] for row in rows],
     )
+    return kept, kept_offsets
 
 
-def scale_and_normalize(
-    spectrum: MassSpectrum, scaling: str = "sqrt"
-) -> MassSpectrum:
-    """Stage 3 — Scale and Normalization.
-
-    ``sqrt`` compresses the dynamic range of ion counts, ``rank`` replaces
-    intensities with their ranks (robust to detector saturation), ``none``
-    leaves intensities untouched.  All modes finish with L2 normalisation so
-    that the dot product of two processed spectra is their cosine score.
-    """
-    intensity = spectrum.intensity.astype(np.float64)
+def _scale(values: np.ndarray, counts: np.ndarray, scaling: str) -> np.ndarray:
+    """Stage 3's intensity transform of rows of ``counts`` flat values."""
     if scaling == "sqrt":
-        scaled = np.sqrt(intensity)
-    elif scaling == "rank":
-        order = np.argsort(np.argsort(intensity, kind="stable"), kind="stable")
-        scaled = (order + 1).astype(np.float64)
-    elif scaling == "none":
-        scaled = intensity.copy()
-    else:
-        raise ConfigurationError(f"unknown scaling {scaling!r}")
-    norm = np.linalg.norm(scaled)
-    if norm > 0:
-        scaled = scaled / norm
-    return spectrum.with_peaks(spectrum.mz, scaled)
+        return np.sqrt(values)
+    if scaling == "rank":
+        # 1-based rank within the row, ties in position order (a stable
+        # argsort of the row's argsort).
+        rows = np.repeat(np.arange(counts.size), counts)
+        ranks = np.empty(values.size)
+        ranks[np.lexsort((values, rows))] = _ramp(counts) + 1
+        return ranks
+    return values.copy()
 
 
 def preprocess_spectrum(
@@ -165,28 +199,13 @@ def preprocess_spectrum(
 ) -> MassSpectrum | None:
     """Run the full three-stage pipeline on one spectrum.
 
-    Returns ``None`` when the spectrum does not survive quality control
-    (fewer than ``config.min_peaks`` peaks after filtering), matching the
-    behaviour of production MS pipelines which drop unusable spectra early.
+    The one-row case of :func:`preprocess_batch`.  Returns ``None`` when
+    the spectrum does not survive quality control (fewer than
+    ``config.min_peaks`` peaks after filtering), matching the behaviour
+    of production MS pipelines which drop unusable spectra early.
     """
-    filtered = filter_peaks(spectrum, config)
-    if filtered.peak_count < config.min_peaks:
-        return None
-    selected = select_top_k(filtered, config.top_k)
-    return scale_and_normalize(selected, config.scaling)
-
-
-def preprocess_batch(
-    spectra: Iterable[MassSpectrum],
-    config: PreprocessingConfig = PreprocessingConfig(),
-) -> List[MassSpectrum]:
-    """Preprocess a batch, dropping spectra that fail quality control."""
-    processed: List[MassSpectrum] = []
-    for spectrum in spectra:
-        result = preprocess_spectrum(spectrum, config)
-        if result is not None:
-            processed.append(result)
-    return processed
+    kept, _ = preprocess_batch([spectrum], config)
+    return kept[0] if len(kept) else None
 
 
 def preprocessing_survival_rate(
@@ -194,9 +213,7 @@ def preprocessing_survival_rate(
     config: PreprocessingConfig = PreprocessingConfig(),
 ) -> float:
     """Fraction of spectra that survive preprocessing (QC pass rate)."""
-    if not spectra:
+    if not len(spectra):
         return 0.0
-    survivors = sum(
-        1 for s in spectra if preprocess_spectrum(s, config) is not None
-    )
-    return survivors / len(spectra)
+    kept, _ = preprocess_batch(spectra, config)
+    return len(kept) / len(spectra)

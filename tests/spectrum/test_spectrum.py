@@ -92,3 +92,84 @@ class TestCopyAndTransform:
         large = make(list(np.linspace(100, 900, 100)), [1.0] * 100)
         assert large.estimated_raw_bytes() > small.estimated_raw_bytes()
         assert large.estimated_raw_bytes() == 64 + 16 * 100
+
+
+class TestSpectrumBatch:
+    def batch(self):
+        from repro.spectrum import SpectrumBatch
+
+        return SpectrumBatch(
+            [2, 0, 3],
+            np.array([200.0, 100.0, 300.0, 310.0, 320.0]),
+            np.array([2.0, 1.0, 3.0, 4.0, 5.0]),
+            [500.0, 600.0, 700.0],
+            [2, 3, 1],
+            ["a", "b", "c"],
+            [1.5, None, 2.5],
+            [{"k": "v"}, {}, {}],
+        )
+
+    def test_unsorted_row_is_sorted_on_a_copy(self):
+        mz = np.array([200.0, 100.0, 300.0])
+        from repro.spectrum import SpectrumBatch
+
+        batch = SpectrumBatch([2, 1], mz, np.array([2.0, 1.0, 3.0]),
+                              [500.0, 500.0], [2, 2], ["a", "b"])
+        assert batch.mz.tolist() == [100.0, 200.0, 300.0]
+        assert batch.intensity.tolist() == [1.0, 2.0, 3.0]
+        assert mz.tolist() == [200.0, 100.0, 300.0]
+
+    def test_rows_match_mass_spectrum(self):
+        batch = self.batch()
+        assert len(batch) == 3
+        first = batch[0]
+        assert isinstance(first, MassSpectrum)
+        assert first.mz.tolist() == [100.0, 200.0]
+        assert first.metadata == {"k": "v"}
+        assert batch[1].peak_count == 0
+        assert batch[-1].identifier == "c"
+        assert [s.identifier for s in batch] == ["a", "b", "c"]
+        with pytest.raises(IndexError):
+            batch[3]
+
+    def test_slices_and_take_are_batches(self):
+        batch = self.batch()
+        tail = batch[1:]
+        assert tail.counts.tolist() == [0, 3]
+        assert tail.mz.tolist() == [300.0, 310.0, 320.0]
+        picked = batch.take(np.array([2, 0]))
+        assert picked.identifiers == ["c", "a"]
+        assert picked.mz.tolist() == [300.0, 310.0, 320.0, 100.0, 200.0]
+
+    def test_from_spectra_round_trip(self):
+        from repro.spectrum import SpectrumBatch
+
+        batch = self.batch()
+        again = SpectrumBatch.from_spectra(list(batch))
+        assert again == batch
+        assert SpectrumBatch.from_spectra(batch) is batch
+        assert SpectrumBatch.from_spectra([]) == []
+
+    @pytest.mark.parametrize(
+        "charge, precursor, message",
+        [
+            ([2, 0], [500.0, 500.0], "'b': precursor charge must be >= 1"),
+            ([2, 2], [500.0, -1.0], "'b': precursor m/z must be positive"),
+            ([0, 2], [500.0, -1.0], "'a': precursor charge must be >= 1"),
+        ],
+    )
+    def test_first_bad_row_named_like_mass_spectrum(
+        self, charge, precursor, message
+    ):
+        from repro.spectrum import SpectrumBatch
+
+        with pytest.raises(SpectrumError, match=message):
+            SpectrumBatch([1, 1], np.ones(2), np.ones(2), precursor, charge,
+                          ["a", "b"])
+
+    def test_peak_columns_must_match_counts(self):
+        from repro.spectrum import SpectrumBatch
+
+        with pytest.raises(SpectrumError, match="for 3 peaks"):
+            SpectrumBatch([1, 2], np.ones(2), np.ones(2), [500.0] * 2,
+                          [2, 2], ["a", "b"])

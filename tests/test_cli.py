@@ -103,6 +103,33 @@ class TestInfoCommand:
         assert "spectra       : 40" in out
         assert "buckets" in out
 
+    @pytest.mark.parametrize("block, batch_size", [(0, 1024), (30, 7)])
+    def test_unbucketable_precursor_fails(
+        self, mgf_path, block, batch_size, tmp_path, capsys, monkeypatch
+    ):
+        """Refused like ``cluster``; the row is counted from the file's
+        start even when it sits in a later batch."""
+        import repro.io.mgf
+
+        monkeypatch.setattr(repro.io.mgf, "READ_BATCH_SIZE", batch_size)
+        lines = mgf_path.read_text().splitlines()
+        pepmass = [
+            i for i, line in enumerate(lines) if line.startswith("PEPMASS=")
+        ]
+        lines[pepmass[block]] = "PEPMASS=inf"
+        bad = tmp_path / "bad.mgf"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["info", str(bad)]) == 1
+        charge = next(
+            line
+            for line in lines[pepmass[block] :]
+            if line.startswith("CHARGE=")
+        )
+        assert capsys.readouterr().err == (
+            f"error: row {block}: precursor m/z inf with charge "
+            f"{charge[len('CHARGE='):].rstrip('+')} cannot be bucketed\n"
+        )
+
 
 class TestValidateCommand:
     def test_clean_file(self, mgf_path, capsys):
