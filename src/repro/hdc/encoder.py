@@ -18,7 +18,7 @@ cycle counts for the same computation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -273,20 +273,18 @@ class IDLevelEncoder:
         return encoded
 
     def encode_stream(
-        self, spectra: Iterable[MassSpectrum], batch_size: int = 4096
+        self,
+        spectra: Union[SpectrumBatch, Iterable[MassSpectrum]],
+        batch_size: int = 4096,
     ) -> Iterable[np.ndarray]:
-        """Encode a stream lazily, yielding packed batches.
+        """Encode ``spectra`` in slices of ``batch_size``, yielding packed
+        batches.
 
         Mirrors the FPGA dataflow where the encoder kernel emits HVs to HBM
-        in bursts while the host streams spectra from storage.
+        in bursts; the slices bound the encoder's scratch memory.
         """
         if batch_size < 1:
             raise EncodingError("batch_size must be >= 1")
-        batch: List[MassSpectrum] = []
-        for spectrum in spectra:
-            batch.append(spectrum)
-            if len(batch) == batch_size:
-                yield self.encode_batch(batch)
-                batch = []
-        if batch:
-            yield self.encode_batch(batch)
+        batch = SpectrumBatch.from_spectra(spectra)
+        for start in range(0, len(batch), batch_size):
+            yield self.encode_batch(batch[start : start + batch_size])

@@ -1,6 +1,6 @@
 """File-format substrate: MGF, MS2 and minimal mzML readers/writers."""
 
-from .mgf import read_mgf, read_mgf_batches, write_mgf, mgf_to_string
+from .mgf import read_mgf, write_mgf, mgf_to_string
 from .ms2 import read_ms2, write_ms2
 from .mzml import read_mzml, write_mzml
 from .mzxml import read_mzxml, write_mzxml
@@ -10,7 +10,6 @@ from .source import SpectrumFile, SpectrumSource
 
 __all__ = [
     "read_mgf",
-    "read_mgf_batches",
     "write_mgf",
     "mgf_to_string",
     "read_ms2",

@@ -43,7 +43,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from ..errors import ParseError, SpecHDError
-from ..spectrum import MassSpectrum
+from ..spectrum import MassSpectrum, SpectrumBatch
 
 #: Format version written into the metadata record.
 FORMAT_VERSION = 2
@@ -101,13 +101,14 @@ class HypervectorStore:
     @classmethod
     def from_encoding(
         cls,
-        spectra: Sequence[MassSpectrum],
+        spectra: Union[SpectrumBatch, Sequence[MassSpectrum]],
         vectors: np.ndarray,
         labels: np.ndarray | None = None,
         dim: int | None = None,
         encoder_seed: int = 0,
     ) -> "HypervectorStore":
         """Build a store from spectra and their encoded vectors."""
+        spectra = SpectrumBatch.from_spectra(spectra)
         vectors = np.asarray(vectors, dtype=np.uint64)
         if vectors.shape[0] != len(spectra):
             raise SpecHDError(
@@ -119,14 +120,10 @@ class HypervectorStore:
             dim = vectors.shape[1] * 64
         return cls(
             vectors=vectors,
-            precursor_mz=np.array(
-                [s.precursor_mz for s in spectra], dtype=np.float64
-            ),
-            charge=np.array(
-                [s.precursor_charge for s in spectra], dtype=np.int16
-            ),
+            precursor_mz=spectra.precursor_mz.copy(),
+            charge=spectra.charge.astype(np.int16),
             labels=np.asarray(labels, dtype=np.int64),
-            identifiers=[s.identifier for s in spectra],
+            identifiers=list(spectra.identifiers),
             dim=dim,
             encoder_seed=encoder_seed,
         )

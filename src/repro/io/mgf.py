@@ -12,9 +12,11 @@ charge suffixes (``2+``), multiple values in ``PEPMASS``, blank lines, and
 most one batch of text, cut after the ``END IONS`` line of the batch's
 last block.  Headers are parsed per block; the peak lines go through
 ``np.array(text.split(), float64)`` a few blocks at a time, never one
-float at a time.  A batch that this fast path does not cover — comments
-or blank lines among the peaks, headers after peaks, peak lines without
-exactly two fields, or any error — is parsed again by
+float at a time; peak lines may carry extra fields (a fragment charge,
+say) as long as every line of the group has as many.  A batch that this
+fast path does not cover — comments or blank lines among the peaks,
+headers after peaks, peak lines with fewer than two fields or with
+differing field counts, or any error — is parsed again by
 :func:`_parse_lines`, the line-by-line loop, so such quirks are accepted
 and every error is reported (message and line number) as that loop
 reports it.  :func:`read_mgf` yields the rows of these batches, so there
@@ -105,10 +107,8 @@ def read_mgf_batches(
         for text, ends in _batch_texts(handle, path_name, batch_size):
             batch = _parse_fast(text, ends, ordinal, path_name)
             if batch is None:
-                batch = SpectrumBatch.from_spectra(
-                    _parse_lines(
-                        text.split("\n"), path_name, first_line, ordinal
-                    )
+                batch = _parse_lines(
+                    text.split("\n"), path_name, first_line, ordinal
                 )
             first_line += text.count("\n")
             ordinal += len(batch)
@@ -212,20 +212,28 @@ def _parse_fast(
     for first in range(0, len(spans), _TOKEN_BLOCKS):
         group = spans[first : first + _TOKEN_BLOCKS]
         lines = sum(counts[first : first + _TOKEN_BLOCKS])
-        # Each line's two fields plus a ';' marker: a line with any other
-        # number of fields shifts the markers out of every third slot.
+        # Each line's fields plus a ';' marker.  When every line has the
+        # same number of fields (m/z, intensity and any extras such as a
+        # fragment charge), and no field is a ';', the markers sit in
+        # every ``width``-th slot and nowhere else.
         tokens = (
             "".join([text[peaks:end] for _, peaks, end in group])
             .replace("\n", " ; ")
             .split()
         )
-        if len(tokens) != 3 * lines or tokens[2::3].count(";") != lines:
+        width = len(tokens) // lines if lines else 3
+        if (
+            width < 3
+            or len(tokens) != width * lines
+            or tokens[width - 1 :: width].count(";") != lines
+            or tokens.count(";") != lines
+        ):
             return None
         try:
             columns.append(
                 (
-                    np.array(tokens[0::3], dtype=np.float64),
-                    np.array(tokens[1::3], dtype=np.float64),
+                    np.array(tokens[0::width], dtype=np.float64),
+                    np.array(tokens[1::width], dtype=np.float64),
                 )
             )
         except ValueError:
@@ -248,13 +256,23 @@ def _parse_fast(
         except (ParseError, IndexError):
             return None
     mz_parts, intensity_parts = zip(*columns) if columns else ((), ())
+    return _batch(
+        counts,
+        np.concatenate((np.empty(0),) + mz_parts),
+        np.concatenate((np.empty(0),) + intensity_parts),
+        rows,
+    )
+
+
+def _batch(counts, mz, intensity, rows: List[_BlockFields]) -> SpectrumBatch:
+    """The checked batch of peak columns and per-block header fields."""
     identifiers, precursor_mz, charge, retention_time, metadata = (
         zip(*rows) if rows else ((),) * 5
     )
     return SpectrumBatch(
         counts,
-        np.concatenate((np.empty(0),) + mz_parts),
-        np.concatenate((np.empty(0),) + intensity_parts),
+        mz,
+        intensity,
         precursor_mz,
         charge,
         identifiers,
@@ -265,73 +283,83 @@ def _parse_fast(
 
 def _parse_lines(
     lines: Iterable[str], path_name: str, first_line: int, ordinal: int
-) -> Iterator[MassSpectrum]:
-    """The line-by-line loop over MGF text, ``first_line`` numbering the
-    first of ``lines``; the reference for every message and line number
-    :class:`ParseError` carries."""
+) -> SpectrumBatch:
+    """The batch of MGF text parsed line by line, ``first_line`` numbering
+    the first of ``lines``; the reference for every message and line
+    number :class:`ParseError` carries.
+
+    The rows are checked as one batch once the text is parsed.  Before a
+    :class:`ParseError` is raised, the blocks completed ahead of it are
+    checked, so an invalid earlier block is reported first, as it was
+    when every block became a :class:`MassSpectrum` at its ``END IONS``.
+    """
     in_block = False
     headers: dict[str, str] = {}
+    counts: List[int] = []
     mz_values: List[float] = []
     intensity_values: List[float] = []
-    for line_number, raw_line in enumerate(lines, start=first_line):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line == "BEGIN IONS":
-            if in_block:
-                raise ParseError("nested BEGIN IONS", path_name, line_number)
-            in_block = True
-            headers = {}
-            mz_values = []
-            intensity_values = []
-            continue
-        if line == "END IONS":
-            if not in_block:
-                raise ParseError(
-                    "END IONS without BEGIN IONS", path_name, line_number
-                )
-            identifier, precursor_mz, charge, retention_time, metadata = (
-                _block_fields(headers, ordinal, path_name, line_number)
-            )
-            yield MassSpectrum(
-                identifier=identifier,
-                precursor_mz=precursor_mz,
-                precursor_charge=charge,
-                mz=np.array(mz_values, dtype=np.float64),
-                intensity=np.array(intensity_values, dtype=np.float64),
-                retention_time=retention_time,
-                metadata=metadata,
-            )
-            ordinal += 1
-            in_block = False
-            continue
-        if not in_block:
-            # Permit global headers (e.g. COM=, ITOL=) outside blocks.
-            if "=" in line:
+    rows: List[_BlockFields] = []
+    block_start = 0
+    try:
+        for line_number, raw_line in enumerate(lines, start=first_line):
+            line = raw_line.strip()
+            if not line or line.startswith("#"):
                 continue
-            raise ParseError(
-                f"unexpected content outside block: {line!r}",
-                path_name,
-                line_number,
-            )
-        if "=" in line and not line[0].isdigit():
-            key, _, value = line.partition("=")
-            headers[key.strip().upper()] = value.strip()
-            continue
-        parts = line.split()
-        if len(parts) < 2:
-            raise ParseError(
-                f"malformed peak line {line!r}", path_name, line_number
-            )
-        try:
-            mz_values.append(float(parts[0]))
-            intensity_values.append(float(parts[1]))
-        except ValueError as exc:
-            raise ParseError(
-                f"non-numeric peak line {line!r}", path_name, line_number
-            ) from exc
-    if in_block:
-        raise ParseError("unterminated BEGIN IONS block", path_name, 0)
+            if line == "BEGIN IONS":
+                if in_block:
+                    raise ParseError(
+                        "nested BEGIN IONS", path_name, line_number
+                    )
+                in_block = True
+                headers = {}
+                block_start = len(mz_values)
+                continue
+            if line == "END IONS":
+                if not in_block:
+                    raise ParseError(
+                        "END IONS without BEGIN IONS", path_name, line_number
+                    )
+                rows.append(
+                    _block_fields(
+                        headers, ordinal + len(rows), path_name, line_number
+                    )
+                )
+                counts.append(len(mz_values) - block_start)
+                in_block = False
+                continue
+            if not in_block:
+                # Permit global headers (e.g. COM=, ITOL=) outside blocks.
+                if "=" in line:
+                    continue
+                raise ParseError(
+                    f"unexpected content outside block: {line!r}",
+                    path_name,
+                    line_number,
+                )
+            if "=" in line and not line[0].isdigit():
+                key, _, value = line.partition("=")
+                headers[key.strip().upper()] = value.strip()
+                continue
+            parts = line.split()
+            if len(parts) < 2:
+                raise ParseError(
+                    f"malformed peak line {line!r}", path_name, line_number
+                )
+            try:
+                mz_value, intensity_value = float(parts[0]), float(parts[1])
+            except ValueError as exc:
+                raise ParseError(
+                    f"non-numeric peak line {line!r}", path_name, line_number
+                ) from exc
+            mz_values.append(mz_value)
+            intensity_values.append(intensity_value)
+        if in_block:
+            raise ParseError("unterminated BEGIN IONS block", path_name, 0)
+    except ParseError:
+        done = sum(counts)
+        _batch(counts, mz_values[:done], intensity_values[:done], rows)
+        raise
+    return _batch(counts, mz_values, intensity_values, rows)
 
 
 def _block_fields(

@@ -270,21 +270,13 @@ class SpecHDPipeline:
             if vector_parts
             else np.zeros((0, config.encoder.dim // 64), dtype=np.uint64)
         )
+        # Drop the per-batch parts once joined, so clustering never holds
+        # two copies of the kept peaks or vectors.
+        spectra = SpectrumBatch.concat(kept)
+        del kept, vector_parts
         return self._run_preprocessed(
-            SpectrumBatch.concat(kept), kept_indices, hypervectors=hypervectors
+            spectra, kept_indices, hypervectors=hypervectors
         )
-
-    def _encode(self, kept: SpectrumBatch) -> np.ndarray:
-        """Encode in ``encode_batch_size`` slices, the FPGA's burst
-        dataflow, which bounds encoder scratch memory for large runs."""
-        size = self.config.encode_batch_size
-        parts = [
-            self.encoder.encode_batch(kept[start : start + size])
-            for start in range(0, len(kept), size)
-        ]
-        if not parts:
-            return np.zeros((0, self.encoder.words), dtype=np.uint64)
-        return np.vstack(parts)
 
     def encode_only(self, spectra: Sequence[MassSpectrum]):
         """Preprocess + encode without clustering; returns a store.
@@ -298,9 +290,21 @@ class SpecHDPipeline:
         from .io.hvstore import HypervectorStore
 
         kept, _ = preprocess_batch(spectra, self.config.preprocessing)
+        if len(kept):
+            vectors = np.vstack(
+                list(
+                    self.encoder.encode_stream(
+                        kept, batch_size=self.config.encode_batch_size
+                    )
+                )
+            )
+        else:
+            vectors = np.zeros(
+                (0, self.config.encoder.dim // 64), dtype=np.uint64
+            )
         return HypervectorStore.from_encoding(
             kept,
-            self._encode(kept),
+            vectors,
             dim=self.config.encoder.dim,
             encoder_seed=self.config.encoder.seed,
         )
@@ -353,7 +357,16 @@ class SpecHDPipeline:
 
         buckets = partition_spectra(kept, config.bucketing)
         if hypervectors is None:
-            hypervectors = self._encode(kept)
+            # Stream encode batches (fast vectorised path) rather than one
+            # monolithic call, mirroring the FPGA's burst dataflow and
+            # bounding encoder scratch memory for very large runs.
+            hypervectors = np.vstack(
+                list(
+                    self.encoder.encode_stream(
+                        kept, batch_size=config.encode_batch_size
+                    )
+                )
+            )
         else:
             hypervectors = np.asarray(hypervectors, dtype=np.uint64)
         average_peaks = float(np.mean(kept.counts))

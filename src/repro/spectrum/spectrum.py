@@ -406,8 +406,11 @@ class SpectrumBatch(Sequence[MassSpectrum]):
             yield self._row(row)
 
     def __eq__(self, other: object) -> bool:
-        """Row-for-row equality with a batch or a list of spectra."""
-        if isinstance(other, (list, tuple)):
+        """Row-for-row equality with another batch, or with a list of
+        spectra: the form :func:`repro.service.protocol.extract_spectra`
+        returned before it returned a batch, which callers still compare
+        against (as :class:`repro.store.MatchTable` compares with lists)."""
+        if isinstance(other, list):
             other = SpectrumBatch.from_spectra(other)
         if not isinstance(other, SpectrumBatch):
             return NotImplemented

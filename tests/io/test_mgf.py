@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.errors import ParseError
+from repro.errors import ParseError, SpectrumError
 from repro.io import mgf_to_string, read_mgf, write_mgf
 from repro.spectrum import MassSpectrum
 
@@ -240,9 +240,13 @@ class TestBatchParser:
             "BEGIN IONS\nPEPMASS=500\n150 1\nCHARGE=3+\n160 2\nEND IONS\n",
             "BEGIN IONS\r\nPEPMASS=500\r\n300 1\r\n150 2\r\nEND IONS\r\n",
             "BEGIN IONS\nTITLE=x END IONS y\nPEPMASS=5\n150 1\nEND IONS\n",
+            "BEGIN IONS\nPEPMASS=500\n150 1 3+\n160 2\nEND IONS\n",
+            "BEGIN IONS\nPEPMASS=500\n150 1 ; 2\n160 2 ; 7\nEND IONS\n",
+            "BEGIN IONS\nPEPMASS=500\n150 1 ;\n160 2\n170 3 4\nEND IONS\n",
         ],
         ids=["sample", "extra-fields", "blank-and-comment",
-             "header-after-peaks", "crlf-unsorted", "title-with-marker"],
+             "header-after-peaks", "crlf-unsorted", "title-with-marker",
+             "mixed-fields", "semicolon-field", "semicolon-shift"],
     )
     def test_quirks_parse_like_line_parser(self, text):
         from repro.io.mgf import _parse_lines, read_mgf_batches
@@ -259,6 +263,45 @@ class TestBatchParser:
                 (text * 3).split("\n"), "<stream>", 1, 0
             )
             assert _rows(rows) == _rows(reference)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "BEGIN IONS\nPEPMASS=500\nCHARGE=0\n150 1\nEND IONS\n"
+                "BEGIN IONS\nPEPMASS=500\n150\nEND IONS\n",
+                "spectrum 'spectrum_0': precursor charge must be >= 1, got 0",
+            ),
+            (
+                "BEGIN IONS\nPEPMASS=-5\n150 1\nEND IONS\n"
+                "BEGIN IONS\nPEPMASS=500\n150 1\n",
+                "spectrum 'spectrum_0': precursor m/z must be positive",
+            ),
+            (
+                "BEGIN IONS\nPEPMASS=500\n150 1 2\n160 1\nEND IONS\n"
+                "BEGIN IONS\nPEPMASS=0\n150 1\nEND IONS\n",
+                "spectrum 'spectrum_1': precursor m/z must be positive",
+            ),
+        ],
+        ids=["charge-before-parse-error", "mz-before-unterminated",
+             "line-loop-batch"],
+    )
+    def test_invalid_block_is_reported_before_later_parse_error(
+        self, text, message
+    ):
+        with pytest.raises(SpectrumError) as caught:
+            list(read_mgf(io.StringIO(text)))
+        assert str(caught.value) == message
+
+    def test_uniform_extra_fields_take_the_column_path(self):
+        from repro.io.mgf import _batch_texts, _parse_fast
+
+        text = "BEGIN IONS\nPEPMASS=500\n150 1 3+\n160 2 1+\nEND IONS\n"
+        (chunk, ends), = _batch_texts(io.StringIO(text * 3), "<stream>", 3)
+        batch = _parse_fast(chunk, ends, 0, "<stream>")
+        assert batch is not None
+        assert batch.mz.tolist() == [150.0, 160.0] * 3
+        assert batch.intensity.tolist() == [1.0, 2.0] * 3
 
     @pytest.mark.parametrize(
         "text, message",

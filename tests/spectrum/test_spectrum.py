@@ -148,7 +148,7 @@ class TestSpectrumBatch:
         again = SpectrumBatch.from_spectra(list(batch))
         assert again == batch
         assert SpectrumBatch.from_spectra(batch) is batch
-        assert SpectrumBatch.from_spectra([]) == []
+        assert len(SpectrumBatch.from_spectra([])) == 0
 
     @pytest.mark.parametrize(
         "charge, precursor, message",
